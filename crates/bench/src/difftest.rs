@@ -172,6 +172,11 @@ pub struct DiffOutcome {
     pub checkpoint_cycle: u64,
     /// Size of the framed snapshot on the wire.
     pub snapshot_bytes: usize,
+    /// Memory ops waiting, at the capture cycle, on an address producer
+    /// whose completion was still unknown. A fork re-parks them from the
+    /// trace on its first cycle, so a nonzero count means the case
+    /// exercised that rebuild (see [`Snapshot::parked_ops`]).
+    pub parked_at_capture: usize,
 }
 
 /// Compares two runs field by field, returning the first divergence.
@@ -276,6 +281,15 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
             ),
         )
     })?;
+    let parked_at_capture = snapshot
+        .parked_ops(0, &cfg, &trace)
+        .map_err(|e| {
+            fail(
+                DiffStage::Capture,
+                format!("snapshot does not restore: {e}"),
+            )
+        })?
+        .len();
 
     // Stage 3: fork from the in-memory snapshot.
     let forked = build()
@@ -299,6 +313,7 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
         cold_cycles: cold.stats.cycles,
         checkpoint_cycle: snapshot.cycle(),
         snapshot_bytes: bytes.len(),
+        parked_at_capture,
     })
 }
 

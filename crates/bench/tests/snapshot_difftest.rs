@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 
-use bench::{difftest, CheckpointConfig, FaultPlan, Lab};
+use bench::{difftest, CheckpointConfig, DiffCase, FaultPlan, Lab};
 use ecdp::system::SystemKind;
 use workloads::InputSet;
 
@@ -44,6 +44,30 @@ fn randomized_triples_fork_bit_identically() {
             );
         }
     }
+}
+
+/// A warm fork captured while consumers wait on in-flight producers: the
+/// snapshot carries no dependences, so the fork re-parks those consumers
+/// from the trace on its first cycle. The four-stage protocol must still
+/// match the cold run bit for bit.
+#[test]
+fn fork_reparks_consumers_waiting_on_inflight_producers() {
+    let lab = Lab::with_checkpoints(FaultPlan::none(), None);
+    let case = DiffCase {
+        workload: "mst".to_string(),
+        input: InputSet::Test,
+        system: SystemKind::StreamEcdpThrottled,
+        l2_bytes: 64 * 1024,
+        interval_evictions: 128,
+        checkpoint_tenths: 5,
+    };
+    let outcome = difftest::run_case(&lab, &case).unwrap_or_else(|f| panic!("{f}"));
+    assert!(
+        outcome.parked_at_capture > 0,
+        "[{}] no consumer was parked at cycle {}",
+        case.label(),
+        outcome.checkpoint_cycle
+    );
 }
 
 fn temp_store(tag: &str) -> PathBuf {

@@ -14,6 +14,7 @@ use crate::cache::{Cache, LineState};
 use crate::config::MachineConfig;
 use crate::dram::{Dram, DramCompletion, DramRequest};
 use crate::error::{DiagnosticSnapshot, SimError};
+use crate::issue_queue::{IssueQueue, NOT_DONE};
 use crate::mshr::MshrFile;
 use crate::obs::{
     IntervalObservation, LifecycleEvent, LifecycleStage, ObsCollector, ObsConfig, PrefetcherSample,
@@ -30,94 +31,11 @@ use crate::stats::{PrefetcherStats, RunStats};
 use crate::throttling::{
     FeedbackCounters, IntervalFeedback, NoThrottle, ThrottleDecision, ThrottlePolicy,
 };
-use crate::trace::{OpKind, OpSource, ResidentOps, Trace, TraceOp, NO_DEP};
-
-const NOT_DONE: u64 = u64::MAX;
+use crate::trace::{OpKind, OpSource, ResidentOps, Trace, TraceOp};
 
 /// Size of the direct-mapped pollution filter (blocks evicted by
 /// prefetches, consulted on demand misses — FDP-style accounting).
 const POLLUTION_FILTER_ENTRIES: usize = 4096;
-
-/// Completion-cycle store for in-window ops.
-///
-/// Replaces the old `Vec<u64>` indexed by absolute op index — which grew
-/// with the trace (8 bytes per op) and made the engine's footprint
-/// proportional to trace length, defeating streamed ingestion. The live
-/// range is bounded: the engine only writes completion cycles for ops
-/// between the window head and the dispatch cursor, and the window holds
-/// at most `window_size` ops (every op is ≥ 1 instruction). Everything
-/// below the window head has retired, and the only property the engine
-/// ever observes of a retired op's entry is "already done" (`<= now`), so
-/// settled indices read as 0 — behaviorally identical to the dense array
-/// (the same argument [`CoreSim::save_warm`] has always relied on).
-struct Completion {
-    ring: Vec<u64>,
-    mask: usize,
-    /// Lowest live index: everything below has retired (settled).
-    base: usize,
-}
-
-impl Completion {
-    fn new() -> Self {
-        Completion {
-            ring: Vec::new(),
-            mask: 0,
-            base: 0,
-        }
-    }
-
-    /// Resets for a fresh replay pass. Capacity covers twice the maximum
-    /// number of in-window ops so the live range never wraps onto itself.
-    fn reset(&mut self, window_size: u32) {
-        let cap = (2 * window_size.max(1) as usize).next_power_of_two();
-        self.ring.clear();
-        self.ring.resize(cap, NOT_DONE);
-        self.mask = cap - 1;
-        self.base = 0;
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> u64 {
-        if idx < self.base {
-            // Retired before the window head: settled, observed only as
-            // "already done".
-            0
-        } else {
-            self.ring[idx & self.mask]
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize, at: u64) {
-        debug_assert!(
-            idx >= self.base && idx - self.base <= self.mask,
-            "completion write outside the live range"
-        );
-        self.ring[idx & self.mask] = at;
-    }
-
-    /// Advances the settled frontier to `new_base` (the window head after
-    /// retirement), resetting the passed slots to `NOT_DONE` so a later op
-    /// aliasing onto them starts un-completed.
-    fn settle_below(&mut self, new_base: usize) {
-        if new_base - self.base > self.mask {
-            // A jump past the whole ring (warm restore deep into a trace)
-            // touches every slot exactly once.
-            for s in &mut self.ring {
-                *s = NOT_DONE;
-            }
-        } else {
-            for i in self.base..new_base {
-                self.ring[i & self.mask] = NOT_DONE;
-            }
-        }
-        self.base = new_base;
-    }
-
-    fn base(&self) -> usize {
-        self.base
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct WinEntry {
@@ -149,8 +67,12 @@ pub(crate) struct CoreSim {
     next_dispatch: usize,
     window: VecDeque<WinEntry>,
     window_instrs: u32,
-    completed: Completion,
-    pending_mem: VecDeque<u32>,
+    /// Completion cycles of in-window ops and the pending memory ops,
+    /// indexed by readiness.
+    iq: IssueQueue,
+    /// Set by a warm restore, which has no op source to read
+    /// dependences from: the next [`CoreSim::step`] rebuilds `iq`.
+    iq_stale: bool,
     /// Issued memory ops still occupying LSQ slots.
     lsq_used: u32,
     /// Completion wheel: min-heap of `(completion cycle, op)` for issued
@@ -221,8 +143,8 @@ impl CoreSim {
             next_dispatch: 0,
             window: VecDeque::new(),
             window_instrs: 0,
-            completed: Completion::new(),
-            pending_mem: VecDeque::new(),
+            iq: IssueQueue::new(),
+            iq_stale: false,
             lsq_used: 0,
             inflight: BinaryHeap::new(),
             l1,
@@ -285,14 +207,47 @@ impl CoreSim {
         self.next_dispatch = 0;
         self.window.clear();
         self.window_instrs = 0;
-        self.completed.reset(self.cfg.core.window_size);
-        self.pending_mem.clear();
+        self.iq.reset(self.cfg.core.window_size);
         // Outstanding ops and MSHR waiters refer to the finished pass; the
         // multi-core driver only rewinds once the window has drained, so
         // these are empty by construction.
         self.lsq_used = 0;
         self.inflight.clear();
         self.retired_ops = 0;
+    }
+
+    /// Dispatched memory ops not yet issued, in program order: exactly the
+    /// window entries that are unissued and have no completion cycle
+    /// (compute ops get theirs at dispatch).
+    fn pending_mem(&self) -> Vec<u32> {
+        self.window
+            .iter()
+            .filter(|e| !e.issued && self.iq.done(e.op_idx as usize) == NOT_DONE)
+            .map(|e| e.op_idx)
+            .collect()
+    }
+
+    /// Re-enqueues every pending memory op after a warm restore.
+    fn rebuild_issue_queue<O: OpSource>(&mut self, ops: &mut O, now: u64) {
+        for op_idx in self.pending_mem() {
+            let dep = ops.op(op_idx as usize).dep;
+            self.iq.insert(op_idx as usize, dep, now);
+        }
+        self.iq_stale = false;
+    }
+
+    /// Restores `cs` at cycle `now` and lists the pending memory ops the
+    /// rebuilt issue queue parks on a producer whose completion is still
+    /// unknown (see [`Snapshot::parked_ops`]).
+    pub(crate) fn parked_after_restore<O: OpSource>(
+        &mut self,
+        cs: &CoreState,
+        ops: &mut O,
+        now: u64,
+    ) -> Result<Vec<u32>, SnapshotError> {
+        self.restore_warm(cs)?;
+        self.rebuild_issue_queue(ops, now);
+        Ok(self.iq.parked())
     }
 
     pub(crate) fn finished(&self) -> bool {
@@ -466,8 +421,7 @@ impl CoreSim {
             self.fill_l1(entry.trigger_addr, false);
         }
         for &w in &entry.waiters {
-            self.completed.set(w as usize, wake_at);
-            self.inflight.push(Reverse((wake_at, w)));
+            self.complete_issued(w, wake_at);
         }
 
         // Notify prefetchers of the fill (content-directed scans happen
@@ -511,7 +465,7 @@ impl CoreSim {
             let Some(head) = self.window.front_mut() else {
                 break;
             };
-            if self.completed.get(head.op_idx as usize) > now {
+            if self.iq.done(head.op_idx as usize) > now {
                 break;
             }
             let take = (head.instrs - head.retired).min(budget);
@@ -534,7 +488,7 @@ impl CoreSim {
                 .window
                 .front()
                 .map_or(self.next_dispatch, |h| h.op_idx as usize);
-            self.completed.settle_below(new_base);
+            self.iq.settle_below(new_base);
         }
         retired
     }
@@ -557,9 +511,7 @@ impl CoreSim {
             match op.kind {
                 OpKind::Load => value = self.mem.read_u32(op.addr),
                 OpKind::Store => self.mem.write_u32(op.addr, op.value),
-                OpKind::Compute => {
-                    self.completed.set(self.next_dispatch, now + 1);
-                }
+                OpKind::Compute => self.iq.set_done(self.next_dispatch, now + 1),
             }
             self.window.push_back(WinEntry {
                 op_idx,
@@ -571,7 +523,7 @@ impl CoreSim {
                 value,
             });
             if op.kind != OpKind::Compute {
-                self.pending_mem.push_back(op_idx);
+                self.iq.insert(self.next_dispatch, op.dep, now);
             }
             self.window_instrs += instrs;
             self.next_dispatch += 1;
@@ -602,32 +554,32 @@ impl CoreSim {
             self.lsq_used -= 1;
         }
 
+        // Visit only the ops whose address producer has completed, oldest
+        // first: a dependence-stalled op has no side effects, so this is
+        // exactly the set and order an in-order scan of every pending op
+        // would try.
         let mut issued = 0;
         let mut budget = self.cfg.core.issue_width;
-        let mut qi = 0;
-        while qi < self.pending_mem.len() {
-            if budget == 0 || self.lsq_used >= self.cfg.core.lsq_size {
+        let mut from = self.iq.base();
+        while budget > 0 && self.lsq_used < self.cfg.core.lsq_size {
+            // Inside the loop: a zero-latency completion earlier in this
+            // pass readies younger ops this cycle, as the scan would see.
+            self.iq.promote(now);
+            let Some(idx) = self.iq.next_ready(from, self.next_dispatch) else {
                 break;
+            };
+            let op_idx = idx as u32;
+            let op = ops.op(idx);
+            if let IssueOutcome::Issued =
+                self.try_issue_one(op_idx, &op, now, dram, prefetchers, observer, l2_port)
+            {
+                self.entry_mut(op_idx).issued = true;
+                self.lsq_used += 1;
+                self.iq.take(idx);
+                issued += 1;
+                budget -= 1;
             }
-            let op_idx = self.pending_mem[qi];
-            let op = ops.op(op_idx as usize);
-            // Address dependence: the producing load must have completed.
-            if op.dep != NO_DEP && self.completed.get(op.dep as usize) > now {
-                qi += 1;
-                continue;
-            }
-            match self.try_issue_one(op_idx, &op, now, dram, prefetchers, observer, l2_port) {
-                IssueOutcome::Issued => {
-                    self.entry_mut(op_idx).issued = true;
-                    self.lsq_used += 1;
-                    self.pending_mem.remove(qi);
-                    issued += 1;
-                    budget -= 1;
-                }
-                IssueOutcome::Stalled => {
-                    qi += 1;
-                }
-            }
+            from = idx + 1;
         }
         issued
     }
@@ -637,7 +589,7 @@ impl CoreSim {
     /// [`CoreSim::next_local_event`]).
     #[inline]
     fn complete_issued(&mut self, op_idx: u32, at: u64) {
-        self.completed.set(op_idx as usize, at);
+        self.iq.set_done(op_idx as usize, at);
         self.inflight.push(Reverse((at, op_idx)));
     }
 
@@ -1111,6 +1063,9 @@ impl CoreSim {
         prefetchers: &mut [Box<dyn Prefetcher>],
         observer: &mut dyn PrefetchObserver,
     ) -> bool {
+        if self.iq_stale {
+            self.rebuild_issue_queue(ops, now);
+        }
         let mut l2_port = 1u32;
         let retired = self.retire(now);
         let dispatched = self.dispatch(ops, now);
@@ -1129,7 +1084,7 @@ impl CoreSim {
             }
         };
         if let Some(head) = self.window.front() {
-            consider(self.completed.get(head.op_idx as usize));
+            consider(self.iq.done(head.op_idx as usize));
         }
         // The completion wheel is a min-heap, so its top is the earliest
         // outstanding completion — no scan needed.
@@ -1172,15 +1127,7 @@ impl CoreSim {
                 return true;
             }
         }
-        if self.lsq_used < self.cfg.core.lsq_size {
-            for i in 0..self.pending_mem.len() {
-                let dep = ops.op(self.pending_mem[i] as usize).dep;
-                if dep == NO_DEP || self.completed.get(dep as usize) <= now {
-                    return true;
-                }
-            }
-        }
-        false
+        self.lsq_used < self.cfg.core.lsq_size && self.iq.has_ready(now)
     }
 
     /// Captures the state attached to watchdog and deadlock reports.
@@ -1192,7 +1139,7 @@ impl CoreSim {
             total_ops: self.total_ops,
             window_instrs: self.window_instrs,
             rob_head: self.window.front().map(|h| {
-                let done = self.completed.get(h.op_idx as usize);
+                let done = self.iq.done(h.op_idx as usize);
                 (h.op_idx, h.issued, (done != NOT_DONE).then_some(done))
             }),
             mshr_occupancy: self.mshrs.occupied(),
@@ -1218,8 +1165,8 @@ impl CoreSim {
     /// Capture happens at the top of the run loop, so every completion
     /// cycle at or before `now` is *settled*: the only property the
     /// engine ever observes of a settled entry is "already done"
-    /// (`completed[i] <= now` in retire, issue and dependence checks).
-    /// The `completed` array is therefore stored sparsely — the dispatch
+    /// (`done(i) <= now` in retire, issue and dependence checks).
+    /// The completion cycles are therefore stored sparsely — the dispatch
     /// cursor plus the entries still in the future — and settled entries
     /// restore as 0, which is behaviorally identical.
     pub(crate) fn save_warm(&self, now: u64) -> Vec<u8> {
@@ -1240,8 +1187,8 @@ impl CoreSim {
         // Indices below the ring base have retired (and are settled by the
         // retire-time argument above), so scanning the live range alone
         // yields exactly the dense array's unsettled set.
-        let unsettled: Vec<(u32, u64)> = (self.completed.base()..self.next_dispatch)
-            .map(|i| (i as u32, self.completed.get(i)))
+        let unsettled: Vec<(u32, u64)> = (self.iq.base()..self.next_dispatch)
+            .map(|i| (i as u32, self.iq.done(i)))
             .filter(|&(_, c)| c == NOT_DONE || c > now)
             .collect();
         w.u32(unsettled.len() as u32);
@@ -1249,8 +1196,9 @@ impl CoreSim {
             w.u32(i);
             w.u64(c);
         }
-        w.u32(self.pending_mem.len() as u32);
-        for &op in &self.pending_mem {
+        let pending = self.pending_mem();
+        w.u32(pending.len() as u32);
+        for op in pending {
             w.u32(op);
         }
         w.u32(self.lsq_used);
@@ -1367,14 +1315,14 @@ impl CoreSim {
         // unretired ops default to settled and the unsettled list below
         // overrides the ones still in flight. This reproduces exactly the
         // dense array the wire format describes.
-        self.completed.reset(self.cfg.core.window_size);
+        self.iq.reset(self.cfg.core.window_size);
         let base = self
             .window
             .front()
             .map_or(next_dispatch, |h| h.op_idx as usize);
-        self.completed.settle_below(base);
+        self.iq.settle_below(base);
         for i in base..next_dispatch {
-            self.completed.set(i, 0);
+            self.iq.set_done(i, 0);
         }
         let n = r.u32()? as usize;
         for _ in 0..n {
@@ -1390,13 +1338,21 @@ impl CoreSim {
                     "unsettled completion index {idx} below the window head {base}"
                 )));
             }
-            self.completed.set(idx, val);
+            self.iq.set_done(idx, val);
         }
+        // The pending list is implied by the window and the completion
+        // cycles; the readiness index over it is rebuilt on the first step.
         let n = r.u32()? as usize;
-        self.pending_mem.clear();
+        let mut pending = Vec::with_capacity(n.min(self.window.len()));
         for _ in 0..n {
-            self.pending_mem.push_back(r.u32()?);
+            pending.push(r.u32()?);
         }
+        if pending != self.pending_mem() {
+            return Err(SnapshotError::Malformed(
+                "pending memory ops disagree with the window".to_string(),
+            ));
+        }
+        self.iq_stale = true;
         self.lsq_used = r.u32()?;
         let n = r.u32()? as usize;
         self.inflight.clear();
@@ -2188,6 +2144,35 @@ mod tests {
         let t = tb.finish();
         assert_eq!(t.ops.len(), n);
         t
+    }
+
+    /// With a zero-cycle L1, a load completes in the cycle it issues, so a
+    /// chain of dependent L1 hits issues back to back within one pass of
+    /// the issue stage — as an in-order scan of the pending ops finds each
+    /// consumer ready right after its producer issues.
+    #[test]
+    fn zero_latency_hits_ready_their_consumers_in_the_same_pass() {
+        let chain = |len: usize| {
+            let mut tb = TraceBuilder::new(SimMemory::new());
+            let (_, mut id) = tb.load(0x400, layout::HEAP_BASE, None);
+            for _ in 0..len {
+                id = tb.load(0x404, layout::HEAP_BASE, Some(id)).1;
+            }
+            tb.finish()
+        };
+        let mut cfg = MachineConfig::default();
+        cfg.l1.hit_latency = 0;
+        cfg.core.dispatch_width = 8;
+        cfg.core.retire_width = 8;
+        let cycles = |len| {
+            Machine::new(cfg.clone())
+                .run(&chain(len))
+                .expect("run")
+                .cycles
+        };
+        // The head misses to DRAM; its seven consumers then cost one
+        // cycle in total, not one each.
+        assert_eq!((cycles(0), cycles(7)), (451, 452));
     }
 
     #[test]

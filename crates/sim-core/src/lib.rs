@@ -58,6 +58,7 @@ pub mod config;
 pub mod dram;
 pub mod engine;
 pub mod error;
+mod issue_queue;
 pub mod json;
 pub mod mshr;
 pub mod multicore;

@@ -415,6 +415,40 @@ impl Snapshot {
         self.config_fp
     }
 
+    /// The memory ops of core `core` that, at the capture cycle, waited
+    /// on an address producer whose completion was still unknown (a load
+    /// waiting on a fill, or an op not yet issued), in program order.
+    ///
+    /// The snapshot carries no dependences, so a fork re-parks these
+    /// consumers from `trace` on its first cycle; this restores a scratch
+    /// core the same way and reports what it parked. `config` and `trace`
+    /// must be the ones the snapshot was captured with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Malformed`] if `core` is out of range or
+    /// the core state does not restore against `config` and `trace`.
+    pub fn parked_ops(
+        &self,
+        core: usize,
+        config: &MachineConfig,
+        trace: &crate::Trace,
+    ) -> Result<Vec<u32>, SnapshotError> {
+        let cs = self
+            .cores
+            .get(core)
+            .ok_or_else(|| SnapshotError::Malformed(format!("no core {core} in the snapshot")))?;
+        let mut sim = crate::engine::CoreSim::new(
+            core as u8,
+            std::sync::Arc::new(config.clone()),
+            &SimMemory::new(),
+            trace.ops.len(),
+            cs.prefetchers.len(),
+            true,
+        );
+        sim.parked_after_restore(cs, &mut crate::ResidentOps(&trace.ops), self.cycle)
+    }
+
     /// Serializes into the framed wire format described in the module docs.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();

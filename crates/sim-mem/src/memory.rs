@@ -8,12 +8,17 @@ const PAGE_SHIFT: u32 = 12;
 /// Size of one simulated memory page in bytes (the CoW sharing granule).
 pub const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_BYTES as u32) - 1;
-/// Number of pages in the 32-bit address space.
-const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
+/// Page slots per second-level table (leaf); the 32-bit address space
+/// has `LEAF_SLOTS * LEAF_SLOTS` pages.
+const LEAF_BITS: u32 = 10;
+const LEAF_SLOTS: usize = 1 << LEAF_BITS;
+const NUM_PAGES: usize = LEAF_SLOTS * LEAF_SLOTS;
 
-/// Pages are reference-counted so cloning a memory image is a
-/// page-*table* copy, not a page-*data* copy; writes un-share lazily.
+/// Pages are reference-counted so cloning a memory image copies page
+/// *pointers*, not page *data*; writes un-share lazily.
 type Page = Arc<[u8; PAGE_BYTES]>;
+/// A second-level table: the page slots of one 4 MB region.
+type Leaf = [Option<Page>; LEAF_SLOTS];
 
 /// A sparse, byte-addressable simulated 32-bit memory.
 ///
@@ -21,12 +26,18 @@ type Page = Arc<[u8; PAGE_BYTES]>;
 /// return zero, which conveniently never looks like a heap pointer to the
 /// CDP compare-bits predictor.
 ///
+/// The page table has two levels: a root of 1024 optional leaves, each
+/// holding 1024 page slots, with a leaf allocated on the first write into
+/// its 4 MB region. An image therefore costs memory (and clone and drop
+/// time) in proportion to the regions it touches, not to the whole 32-bit
+/// space.
+///
 /// Cloning is copy-on-write: the clone shares every resident page with
 /// the original, and either side transparently un-shares a page the
 /// first time it writes to it. Clones therefore behave exactly like deep
-/// copies while costing only a page-table copy — which is what lets the
-/// engine treat `trace.initial_memory.clone()` as a cheap per-run
-/// snapshot restore.
+/// copies while costing only a copy of the resident leaves' page
+/// pointers — which is what lets the engine treat
+/// `trace.initial_memory.clone()` as a cheap per-run snapshot restore.
 ///
 /// All multi-byte accessors are little-endian (the modelled ISA is x86) and
 /// impose no alignment requirements.
@@ -42,16 +53,17 @@ type Page = Arc<[u8; PAGE_BYTES]>;
 /// assert_eq!(mem.read_u32(0x5000_0000), 0); // untouched => zero
 /// ```
 pub struct SimMemory {
-    pages: Vec<Option<Page>>,
+    leaves: Box<[Option<Box<Leaf>>; LEAF_SLOTS]>,
     resident: usize,
 }
 
 impl SimMemory {
     /// Creates an empty memory with no resident pages.
     pub fn new() -> Self {
-        let mut pages = Vec::new();
-        pages.resize_with(NUM_PAGES, || None);
-        SimMemory { pages, resident: 0 }
+        SimMemory {
+            leaves: Box::new([const { None }; LEAF_SLOTS]),
+            resident: 0,
+        }
     }
 
     /// Number of 4 KB pages currently resident (lazily allocated).
@@ -62,22 +74,23 @@ impl SimMemory {
     /// Indices of the resident 4 KB pages (page `i` spans addresses
     /// `i * 4096 .. (i + 1) * 4096`), in ascending order.
     pub fn resident_page_indices(&self) -> Vec<u32> {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_some())
-            .map(|(i, _)| i as u32)
-            .collect()
+        let mut out = Vec::with_capacity(self.resident);
+        for (l, leaf) in self.leaves.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            for (i, page) in leaf.iter().enumerate() {
+                if page.is_some() {
+                    out.push(((l << LEAF_BITS) | i) as u32);
+                }
+            }
+        }
+        out
     }
 
     /// Raw bytes of the resident page `index` (see
     /// [`SimMemory::resident_page_indices`]), or `None` if the page was
     /// never touched. Used by the warm-state snapshot serializer.
     pub fn page_bytes(&self, index: u32) -> Option<&[u8]> {
-        self.pages
-            .get(index as usize)
-            .and_then(|p| p.as_ref())
-            .map(|p| p.as_slice())
+        self.slot(index as usize).map(|p| p.as_slice())
     }
 
     /// Installs a full page image at `index`, allocating it if absent.
@@ -86,12 +99,13 @@ impl SimMemory {
     /// range or `data` is not exactly [`PAGE_BYTES`] long — the snapshot
     /// decoder turns that into a structured error instead of panicking.
     pub fn install_page(&mut self, index: u32, data: &[u8]) -> bool {
-        let Some(slot) = self.pages.get_mut(index as usize) else {
+        if index as usize >= NUM_PAGES {
             return false;
-        };
+        }
         let Ok(page) = <&[u8; PAGE_BYTES]>::try_from(data) else {
             return false;
         };
+        let slot = slot_mut(&mut self.leaves, index as usize);
         if slot.is_none() {
             self.resident += 1;
         }
@@ -99,26 +113,27 @@ impl SimMemory {
         true
     }
 
+    /// The page at page index `index`, if resident: one extra indexed
+    /// load through the root table.
     #[inline]
-    fn page_index(addr: Addr) -> usize {
-        (addr >> PAGE_SHIFT) as usize
+    fn slot(&self, index: usize) -> Option<&Page> {
+        self.leaves.get(index >> LEAF_BITS)?.as_deref()?[index & (LEAF_SLOTS - 1)].as_ref()
     }
 
     #[inline]
     fn page(&self, addr: Addr) -> Option<&Page> {
-        self.pages[Self::page_index(addr)].as_ref()
+        self.slot((addr >> PAGE_SHIFT) as usize)
     }
 
     #[inline]
     fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES] {
-        let idx = Self::page_index(addr);
-        if self.pages[idx].is_none() {
-            self.pages[idx] = Some(Arc::new([0u8; PAGE_BYTES]));
+        let slot = slot_mut(&mut self.leaves, (addr >> PAGE_SHIFT) as usize);
+        if slot.is_none() {
+            *slot = Some(Arc::new([0u8; PAGE_BYTES]));
             self.resident += 1;
         }
         // Copy-on-write: un-share the page if a clone still references it.
-        let page = self.pages[idx].as_mut().expect("page allocated above");
-        Arc::make_mut(page)
+        Arc::make_mut(slot.as_mut().expect("page allocated above"))
     }
 
     /// Reads one byte.
@@ -235,6 +250,15 @@ impl SimMemory {
     }
 }
 
+/// The slot for page index `index` (below [`NUM_PAGES`]), allocating its
+/// leaf if absent.
+#[inline]
+fn slot_mut(leaves: &mut [Option<Box<Leaf>>; LEAF_SLOTS], index: usize) -> &mut Option<Page> {
+    let leaf =
+        leaves[index >> LEAF_BITS].get_or_insert_with(|| Box::new([const { None }; LEAF_SLOTS]));
+    &mut leaf[index & (LEAF_SLOTS - 1)]
+}
+
 impl Default for SimMemory {
     fn default() -> Self {
         Self::new()
@@ -242,19 +266,20 @@ impl Default for SimMemory {
 }
 
 impl Clone for SimMemory {
-    /// Copy-on-write clone: shares every resident page with `self`.
+    /// Copy-on-write clone: shares every resident page with `self`,
+    /// copying only the root table and the resident leaves.
     fn clone(&self) -> Self {
         SimMemory {
-            pages: self.pages.clone(),
+            leaves: self.leaves.clone(),
             resident: self.resident,
         }
     }
 
     /// Restores `self` to `source`'s contents, reusing `self`'s existing
-    /// page-table allocation (the engine's rewind path calls this every
-    /// multi-core replay).
+    /// table allocations where both sides have a leaf (the engine's
+    /// rewind path calls this every multi-core replay).
     fn clone_from(&mut self, source: &Self) {
-        self.pages.clone_from(&source.pages);
+        self.leaves.clone_from(&source.leaves);
         self.resident = source.resident;
     }
 }
@@ -352,21 +377,12 @@ mod tests {
         a.write_u32(0x2000, 8);
         let b = a.clone();
         // Pages are physically shared right after the clone.
-        assert!(Arc::ptr_eq(
-            a.pages[0].as_ref().unwrap(),
-            b.pages[0].as_ref().unwrap()
-        ));
+        assert!(Arc::ptr_eq(a.slot(0).unwrap(), b.slot(0).unwrap()));
         // A write un-shares only the touched page.
         let mut c = b.clone();
         c.write_u8(0x101, 9);
-        assert!(!Arc::ptr_eq(
-            b.pages[0].as_ref().unwrap(),
-            c.pages[0].as_ref().unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            b.pages[2].as_ref().unwrap(),
-            c.pages[2].as_ref().unwrap()
-        ));
+        assert!(!Arc::ptr_eq(b.slot(0).unwrap(), c.slot(0).unwrap()));
+        assert!(Arc::ptr_eq(b.slot(2).unwrap(), c.slot(2).unwrap()));
         assert_eq!(b.read_u8(0x101), 0);
         assert_eq!(c.read_u8(0x101), 9);
         assert_eq!(c.read_u32(0x2000), 8);
@@ -383,6 +399,75 @@ mod tests {
         assert_eq!(working.read_u32(0x100), 7);
         assert_eq!(working.read_u32(0x9000), 0);
         assert_eq!(working.resident_pages(), snapshot.resident_pages());
+    }
+
+    /// Pages on both sides of a leaf boundary and the last page of the
+    /// address space, each filled with a distinct byte.
+    const BOUNDARY_PAGES: [u32; 4] = [1023, 1024, 0xF_FFFF - 1, 0xF_FFFF];
+
+    fn boundary_image() -> SimMemory {
+        let mut mem = SimMemory::new();
+        for (k, &p) in BOUNDARY_PAGES.iter().enumerate() {
+            assert!(mem.install_page(p, &[k as u8 + 1; PAGE_BYTES]));
+        }
+        mem
+    }
+
+    fn assert_boundary_image(mem: &SimMemory) {
+        assert_eq!(mem.resident_pages(), BOUNDARY_PAGES.len());
+        assert_eq!(mem.resident_page_indices(), BOUNDARY_PAGES.to_vec());
+        for (k, &p) in BOUNDARY_PAGES.iter().enumerate() {
+            let bytes = mem.page_bytes(p).unwrap();
+            assert!(bytes.iter().all(|&b| b == k as u8 + 1), "page {p:#x}");
+            let base = p << PAGE_SHIFT;
+            assert_eq!(mem.read_u8(base), k as u8 + 1);
+            assert_eq!(mem.read_u8(base + PAGE_MASK), k as u8 + 1);
+        }
+        assert_eq!(mem.page_bytes(1022), None);
+        assert_eq!(mem.page_bytes(1025), None);
+    }
+
+    #[test]
+    fn leaf_boundary_pages_round_trip() {
+        let mem = boundary_image();
+        assert_boundary_image(&mem);
+        // The last byte of the address space, and a word straddling the
+        // 1023/1024 leaf boundary.
+        assert_eq!(mem.read_u8(0xFFFF_FFFF), 4);
+        assert_eq!(mem.read_u32(0x0040_0000 - 2), 0x0202_0101);
+
+        let copy = mem.clone();
+        assert_boundary_image(&copy);
+        let mut restored = SimMemory::new();
+        restored.write_u32(0x0040_0000 - 2, 0xDEAD_BEEF);
+        restored.write_u8(0x1234_5678, 9);
+        restored.clone_from(&mem);
+        assert_boundary_image(&restored);
+        assert_eq!(restored.read_u8(0x1234_5678), 0);
+
+        // Writes through a clone straddle the leaf boundary and un-share
+        // only the clone's pages.
+        let mut writer = mem.clone();
+        writer.write_u32(0x0040_0000 - 2, 0xA1B2_C3D4);
+        assert_eq!(writer.page_bytes(1023).unwrap()[PAGE_BYTES - 1], 0xC3);
+        assert_eq!(writer.page_bytes(1024).unwrap()[0], 0xB2);
+        assert_boundary_image(&mem);
+    }
+
+    #[test]
+    fn install_page_rejects_out_of_range_and_short_pages() {
+        let mut mem = SimMemory::new();
+        assert!(!mem.install_page(0x10_0000, &[0; PAGE_BYTES]));
+        assert!(!mem.install_page(u32::MAX, &[0; PAGE_BYTES]));
+        assert!(!mem.install_page(5, &[0; PAGE_BYTES - 1]));
+        assert_eq!(mem.resident_pages(), 0);
+        assert_eq!(mem.page_bytes(0x10_0000), None);
+        assert_eq!(mem.page_bytes(u32::MAX), None);
+        // Re-installing a resident page replaces it without recounting.
+        assert!(mem.install_page(5, &[1; PAGE_BYTES]));
+        assert!(mem.install_page(5, &[2; PAGE_BYTES]));
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read_u8(5 << PAGE_SHIFT), 2);
     }
 
     #[test]

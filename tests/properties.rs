@@ -9,8 +9,8 @@ use ecdp::hints::HintVector;
 use sim_core::cache::{Cache, CacheConfig, LineState};
 use sim_core::dram::{Dram, DramRequest};
 use sim_core::{
-    Aggressiveness, DramConfig, IntervalFeedback, Machine, MachineConfig, ThrottleDecision,
-    ThrottlePolicy, TraceBuilder,
+    Aggressiveness, DramConfig, IntervalFeedback, Machine, MachineConfig, OpKind, ThrottleDecision,
+    ThrottlePolicy, Trace, TraceBuilder, TraceOp, NO_DEP,
 };
 use sim_mem::{layout, Heap, SimMemory};
 use throttle::CoordinatedThrottle;
@@ -299,6 +299,79 @@ proptest! {
         cfg.core.lsq_size = lsq_size;
         cfg.l2_mshrs = l2_mshrs;
         let skipping = Machine::new(cfg.clone()).run(&trace).expect("run");
+        let mut reference = Machine::new(cfg);
+        reference.set_reference_stepping(true);
+        let reference = reference.run(&trace).expect("run");
+        prop_assert_eq!(skipping, reference);
+    }
+}
+
+/// A dependence-heavy trace, built op by op so an address may come from
+/// any earlier op: the one just before it (chains far longer than the
+/// window), the latest compute op or store, or an op far enough back to
+/// have retired long ago. Each element is `(kind, dep, block, count)`.
+/// Addresses come from a few hundred blocks on distinct pages, so demand
+/// misses keep reaching DRAM and keep merging into in-flight MSHR
+/// entries, stores included.
+fn dependence_heavy_trace(spec: &[(u8, u8, u32, u32)]) -> Trace {
+    let mut ops: Vec<TraceOp> = Vec::with_capacity(spec.len());
+    let (mut last_compute, mut last_store) = (NO_DEP, NO_DEP);
+    let mut instructions = 0u64;
+    for &(kind, dep, block, count) in spec {
+        let i = ops.len() as u32;
+        let dep = match dep {
+            0 => NO_DEP,
+            1 | 2 => i.checked_sub(1).unwrap_or(NO_DEP),
+            3 => last_compute,
+            4 => last_store,
+            _ => i.checked_sub(1 + count * 8).unwrap_or(NO_DEP),
+        };
+        let addr = layout::HEAP_BASE + block * 0x1040;
+        let (kind, value, dep) = match kind {
+            0..=5 => (OpKind::Load, 0, dep),
+            6..=7 => (OpKind::Store, count, dep),
+            _ => (OpKind::Compute, count, NO_DEP),
+        };
+        match kind {
+            OpKind::Compute => last_compute = i,
+            OpKind::Store => last_store = i,
+            OpKind::Load => {}
+        }
+        instructions += u64::from(if kind == OpKind::Compute { value } else { 1 });
+        ops.push(TraceOp {
+            pc: 0x40 + u32::from(kind == OpKind::Store),
+            addr,
+            value,
+            dep,
+            kind,
+            lds: dep != NO_DEP,
+        });
+    }
+    Trace {
+        initial_memory: SimMemory::new(),
+        ops,
+        instructions,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn skip_ahead_matches_reference_stepper_on_dependence_heavy_traces(
+        spec in proptest::collection::vec((0u8..10, 0u8..6, 0u32..160, 1u32..12), 1..400),
+        window_size in 8u32..64,
+        lsq_size in 2u32..32,
+        l2_mshrs in 2u32..16,
+        l1_hit_latency in 0u64..4,
+    ) {
+        let trace = dependence_heavy_trace(&spec);
+        let mut cfg = MachineConfig::default();
+        cfg.core.window_size = window_size;
+        cfg.core.lsq_size = lsq_size;
+        cfg.l2_mshrs = l2_mshrs;
+        cfg.l1.hit_latency = l1_hit_latency;
+        let skipping = Machine::new(cfg.clone()).run(&trace).expect("run");
+        prop_assert_eq!(skipping.retired_instructions, trace.instructions);
         let mut reference = Machine::new(cfg);
         reference.set_reference_stepping(true);
         let reference = reference.run(&trace).expect("run");
