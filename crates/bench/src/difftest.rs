@@ -177,6 +177,11 @@ pub struct DiffOutcome {
     /// trace on its first cycle, so a nonzero count means the case
     /// exercised that rebuild (see [`Snapshot::parked_ops`]).
     pub parked_at_capture: usize,
+    /// Memory ops ready at the capture cycle whose block missed the L1.
+    /// Those the capturing core had looked up were marked as L1 misses;
+    /// a fork starts with no marks, so a nonzero count means the case
+    /// exercised forking over them (see [`Snapshot::l1_missing_ops`]).
+    pub l1_missing_at_capture: usize,
 }
 
 /// Compares two runs field by field, returning the first divergence.
@@ -281,14 +286,19 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
             ),
         )
     })?;
+    let restore_err = |e| {
+        fail(
+            DiffStage::Capture,
+            format!("snapshot does not restore: {e}"),
+        )
+    };
     let parked_at_capture = snapshot
         .parked_ops(0, &cfg, &trace)
-        .map_err(|e| {
-            fail(
-                DiffStage::Capture,
-                format!("snapshot does not restore: {e}"),
-            )
-        })?
+        .map_err(restore_err)?
+        .len();
+    let l1_missing_at_capture = snapshot
+        .l1_missing_ops(0, &cfg, &trace)
+        .map_err(restore_err)?
         .len();
 
     // Stage 3: fork from the in-memory snapshot.
@@ -314,6 +324,7 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
         checkpoint_cycle: snapshot.cycle(),
         snapshot_bytes: bytes.len(),
         parked_at_capture,
+        l1_missing_at_capture,
     })
 }
 

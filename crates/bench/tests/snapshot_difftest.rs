@@ -70,6 +70,32 @@ fn fork_reparks_consumers_waiting_on_inflight_producers() {
     );
 }
 
+/// A warm fork of the streaming control captured while ready loads wait
+/// for the single L2 port: the capturing core had marked the ones it
+/// looked up as L1 misses and was passing over them, and the fork starts
+/// with no marks. The four-stage protocol must still match the cold run
+/// bit for bit.
+#[test]
+fn fork_over_port_refused_loads_marked_as_l1_misses() {
+    let lab = Lab::with_checkpoints(FaultPlan::none(), None);
+    let case = DiffCase {
+        workload: "libquantum".to_string(),
+        input: InputSet::Test,
+        system: SystemKind::StreamOnly,
+        l2_bytes: 1024 * 1024,
+        interval_evictions: 8192,
+        checkpoint_tenths: 5,
+    };
+    let outcome = difftest::run_case(&lab, &case).unwrap_or_else(|f| panic!("{f}"));
+    assert!(
+        outcome.l1_missing_at_capture > 1,
+        "[{}] {} ready load(s) missed the L1 at cycle {}",
+        case.label(),
+        outcome.l1_missing_at_capture,
+        outcome.checkpoint_cycle
+    );
+}
+
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bench-ckpt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -123,8 +123,9 @@ impl Cache {
         self.evictions
     }
 
+    /// The set `addr` maps to (`0..sets`).
     #[inline]
-    fn set_index(&self, addr: Addr) -> u32 {
+    pub(crate) fn set_index(&self, addr: Addr) -> u32 {
         (addr / BLOCK_BYTES) & (self.sets - 1)
     }
 

@@ -207,7 +207,7 @@ impl CoreSim {
         self.next_dispatch = 0;
         self.window.clear();
         self.window_instrs = 0;
-        self.iq.reset(self.cfg.core.window_size);
+        self.iq.reset(self.cfg.core.window_size, self.cfg.l1.sets());
         // Outstanding ops and MSHR waiters refer to the finished pass; the
         // multi-core driver only rewinds once the window has drained, so
         // these are empty by construction.
@@ -236,18 +236,37 @@ impl CoreSim {
         self.iq_stale = false;
     }
 
-    /// Restores `cs` at cycle `now` and lists the pending memory ops the
-    /// rebuilt issue queue parks on a producer whose completion is still
-    /// unknown (see [`Snapshot::parked_ops`]).
-    pub(crate) fn parked_after_restore<O: OpSource>(
+    /// Restores `cs` at cycle `now` and rebuilds the issue queue from
+    /// `ops`, as a fork's first step does.
+    pub(crate) fn restore_rebuilt<O: OpSource>(
         &mut self,
         cs: &CoreState,
         ops: &mut O,
         now: u64,
-    ) -> Result<Vec<u32>, SnapshotError> {
+    ) -> Result<(), SnapshotError> {
         self.restore_warm(cs)?;
         self.rebuild_issue_queue(ops, now);
-        Ok(self.iq.parked())
+        Ok(())
+    }
+
+    /// Pending memory ops parked on a producer whose completion is still
+    /// unknown (see [`Snapshot::parked_ops`]).
+    pub(crate) fn parked(&self) -> Vec<u32> {
+        self.iq.parked()
+    }
+
+    /// Ready memory ops whose block is not in the L1, in program order
+    /// (see [`Snapshot::l1_missing_ops`]).
+    pub(crate) fn ready_l1_misses<O: OpSource>(&self, ops: &mut O) -> Vec<u32> {
+        let mut out = Vec::new();
+        let mut from = self.iq.base();
+        while let Some(idx) = self.iq.next_ready(from, self.next_dispatch, false) {
+            if self.l1.probe(ops.op(idx).addr).is_none() {
+                out.push(idx as u32);
+            }
+            from = idx + 1;
+        }
+        out
     }
 
     pub(crate) fn finished(&self) -> bool {
@@ -307,6 +326,7 @@ impl CoreSim {
 
     /// Fills a block into the L1, folding a dirty victim into the L2.
     fn fill_l1(&mut self, addr: Addr, dirty: bool) {
+        self.iq.l1_filled(self.l1.set_index(addr));
         if let Some(victim) = self.l1.fill(
             addr,
             LineState {
@@ -557,7 +577,9 @@ impl CoreSim {
         // Visit only the ops whose address producer has completed, oldest
         // first: a dependence-stalled op has no side effects, so this is
         // exactly the set and order an in-order scan of every pending op
-        // would try.
+        // would try. Once the L2 port is spent, also pass over the ops
+        // marked as L1 misses: each would miss again and be refused the
+        // port, whose only effect is an LRU tick that reorders no lines.
         let mut issued = 0;
         let mut budget = self.cfg.core.issue_width;
         let mut from = self.iq.base();
@@ -565,7 +587,7 @@ impl CoreSim {
             // Inside the loop: a zero-latency completion earlier in this
             // pass readies younger ops this cycle, as the scan would see.
             self.iq.promote(now);
-            let Some(idx) = self.iq.next_ready(from, self.next_dispatch) else {
+            let Some(idx) = self.iq.next_ready(from, self.next_dispatch, *l2_port == 0) else {
                 break;
             };
             let op_idx = idx as u32;
@@ -580,6 +602,18 @@ impl CoreSim {
                 budget -= 1;
             }
             from = idx + 1;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut from = self.iq.base();
+            while let Some(idx) = self.iq.next_marked(from, self.next_dispatch) {
+                let addr = ops.op(idx).addr;
+                assert!(
+                    self.l1.probe(addr).is_none(),
+                    "op {idx} is marked as an L1 miss but {addr:#x} is resident"
+                );
+                from = idx + 1;
+            }
         }
         issued
     }
@@ -640,7 +674,10 @@ impl CoreSim {
             return IssueOutcome::Issued;
         }
 
-        // L1 miss: needs the L2 port this cycle.
+        // L1 miss: needs the L2 port this cycle. The op stays marked as a
+        // miss until a fill lands in its L1 set or it issues.
+        let set = self.l1.set_index(op.addr);
+        self.iq.mark_l1_miss(op_idx as usize, set);
         if *l2_port == 0 {
             return IssueOutcome::Stalled;
         }
@@ -1315,7 +1352,7 @@ impl CoreSim {
         // unretired ops default to settled and the unsettled list below
         // overrides the ones still in flight. This reproduces exactly the
         // dense array the wire format describes.
-        self.iq.reset(self.cfg.core.window_size);
+        self.iq.reset(self.cfg.core.window_size, self.cfg.l1.sets());
         let base = self
             .window
             .front()
@@ -2173,6 +2210,46 @@ mod tests {
         // The head misses to DRAM; its seven consumers then cost one
         // cycle in total, not one each.
         assert_eq!((cycles(0), cycles(7)), (451, 452));
+    }
+
+    /// An op refused the spent L2 port is marked as an L1 miss and passed
+    /// over by later passes — until a fill lands in its L1 set. Here that
+    /// fill comes from an older op's L2 hit earlier in the same pass, and
+    /// the marked op must then issue as an L1 hit in that very cycle.
+    #[test]
+    fn an_older_ops_l1_fill_wakes_a_marked_op_in_the_same_pass() {
+        let line = |i: u32| layout::HEAP_BASE + i * 64;
+        let (x, z, w, v) = (line(0), line(1), line(2), line(3));
+        let mut tb = TraceBuilder::new(SimMemory::new());
+        // Bring x and z into the L2; w's fill, last, leaves only w in the
+        // one-line L1.
+        tb.load(0x400, x, None);
+        tb.load(0x404, z, None);
+        let (_, wl) = tb.load(0x408, w, None);
+        // The cycle w completes, p hits w in L1, c takes the port with an
+        // L2 hit on z, and b misses x, is refused the port and is marked.
+        // The next cycle, a (p's consumer) takes the port with an L2 hit
+        // on x and fills it, so b hits x later in the same pass. d misses
+        // to DRAM as soon as b completes, so b's issue cycle sets the
+        // run's length.
+        let (_, p) = tb.load(0x40c, w, Some(wl));
+        tb.load(0x410, x, Some(p)); // a
+        tb.load(0x414, z, Some(wl)); // c
+        let (_, b) = tb.load(0x418, x, Some(wl));
+        tb.load(0x41c, v, Some(b)); // d
+        let trace = tb.finish();
+        let cfg = MachineConfig {
+            l1: crate::cache::CacheConfig {
+                bytes: 64,
+                ways: 1,
+                hit_latency: 1,
+            },
+            ..MachineConfig::default()
+        };
+        let stats = Machine::new(cfg).run(&trace).expect("run");
+        // Pinned before the issue pass skipped marked ops; b issuing a
+        // cycle late (a fill that does not wake it) adds one cycle.
+        assert_eq!((stats.cycles, stats.l1_hits, stats.l1_misses), (985, 1, 7));
     }
 
     #[test]

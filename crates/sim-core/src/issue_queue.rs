@@ -18,6 +18,12 @@
 //! consumer. Visiting the ready set in op-index order therefore visits
 //! exactly the ops an in-order scan of all pending ops would find issuable,
 //! in the same order.
+//!
+//! A ready op whose L1 lookup missed is also **marked**, and recorded
+//! under its L1 set, until a fill lands in that set
+//! ([`IssueQueue::l1_filled`]). Only a fill turns an L1 miss into a hit,
+//! so a marked op still misses; once the cycle's L2 port is spent it could
+//! only be refused, and the issue pass skips it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -56,6 +62,14 @@ pub(crate) struct IssueQueue {
     /// `wait_next[op slot]`.
     wait_head: Vec<u32>,
     wait_next: Vec<u32>,
+    /// One bit per ring slot: a ready op whose last L1 lookup missed, with
+    /// no L1 fill into its set since.
+    l1_miss: Vec<u64>,
+    /// Per L1 set, one bit per ring slot marked in that set
+    /// (`set_members[set * words..][..words]`). Bits of ops since issued
+    /// linger until the set's next fill; they can only clear a mark early,
+    /// which costs one extra lookup.
+    set_members: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -68,13 +82,16 @@ impl IssueQueue {
             due: BinaryHeap::new(),
             wait_head: Vec::new(),
             wait_next: Vec::new(),
+            l1_miss: Vec::new(),
+            set_members: Vec::new(),
         }
     }
 
-    /// Resets for a fresh replay pass. Capacity covers twice the maximum
-    /// number of in-window ops so the live range never wraps onto itself,
-    /// and at least one bitset word.
-    pub(crate) fn reset(&mut self, window_size: u32) {
+    /// Resets for a fresh replay pass over a core with `l1_sets` L1 sets.
+    /// Capacity covers twice the maximum number of in-window ops so the
+    /// live range never wraps onto itself, and at least one bitset word.
+    /// No op starts marked.
+    pub(crate) fn reset(&mut self, window_size: u32, l1_sets: u32) {
         let cap = (2 * window_size.max(1) as usize)
             .next_power_of_two()
             .max(64);
@@ -89,6 +106,10 @@ impl IssueQueue {
         self.wait_head.resize(cap, NIL);
         self.wait_next.clear();
         self.wait_next.resize(cap, NIL);
+        self.l1_miss.clear();
+        self.l1_miss.resize(cap / 64, 0);
+        self.set_members.clear();
+        self.set_members.resize(l1_sets as usize * (cap / 64), 0);
     }
 
     /// Completion cycle of op `idx` ([`NOT_DONE`] if unknown; 0 once
@@ -174,11 +195,32 @@ impl IssueQueue {
         self.ready[slot / 64] |= 1 << (slot % 64);
     }
 
-    /// Removes issued op `op` from the ready set.
+    /// Removes issued op `op` from the ready set and clears its mark.
     #[inline]
     pub(crate) fn take(&mut self, op: usize) {
         let slot = op & self.mask;
         self.ready[slot / 64] &= !(1 << (slot % 64));
+        self.l1_miss[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Marks ready op `op`, whose L1 lookup just missed in set `set`.
+    #[inline]
+    pub(crate) fn mark_l1_miss(&mut self, op: usize, set: u32) {
+        let slot = op & self.mask;
+        let bit = 1 << (slot % 64);
+        self.l1_miss[slot / 64] |= bit;
+        self.set_members[set as usize * self.l1_miss.len() + slot / 64] |= bit;
+    }
+
+    /// A block is about to fill L1 set `set`: clears the marks of every
+    /// op recorded in it, since any of them may now hit.
+    #[inline]
+    pub(crate) fn l1_filled(&mut self, set: u32) {
+        let words = self.l1_miss.len();
+        let members = &mut self.set_members[set as usize * words..][..words];
+        for (miss, member) in self.l1_miss.iter_mut().zip(members) {
+            *miss &= !std::mem::take(member);
+        }
     }
 
     /// Moves every op whose producer has completed by `now` into the
@@ -195,15 +237,30 @@ impl IssueQueue {
     }
 
     /// The oldest ready op with index in `from..to` (`to` at most one
-    /// ring length past the window head).
+    /// ring length past the window head), passing over marked ops if
+    /// `skip_marked`.
     #[inline]
-    pub(crate) fn next_ready(&self, from: usize, to: usize) -> Option<usize> {
+    pub(crate) fn next_ready(&self, from: usize, to: usize, skip_marked: bool) -> Option<usize> {
+        let skip = if skip_marked { u64::MAX } else { 0 };
+        self.next_in(from, to, |w| self.ready[w] & !(self.l1_miss[w] & skip))
+    }
+
+    /// The oldest marked ready op with index in `from..to`.
+    #[cfg(debug_assertions)]
+    pub(crate) fn next_marked(&self, from: usize, to: usize) -> Option<usize> {
+        self.next_in(from, to, |w| self.ready[w] & self.l1_miss[w])
+    }
+
+    /// The lowest index in `from..to` whose slot bit is set in the bitset
+    /// whose `w`-th word is `word_at(w)`.
+    #[inline]
+    fn next_in(&self, from: usize, to: usize, word_at: impl Fn(usize) -> u64) -> Option<usize> {
         let mut i = from;
         while i < to {
             let slot = i & self.mask;
             // A word never straddles the ring's wrap point, so its bits
             // from `slot` up are consecutive op indices from `i` up.
-            let word = self.ready[slot / 64] >> (slot % 64);
+            let word = word_at(slot / 64) >> (slot % 64);
             if word != 0 {
                 let hit = i + word.trailing_zeros() as usize;
                 return (hit < to).then_some(hit);
@@ -243,7 +300,7 @@ mod tests {
     #[test]
     fn parked_op_becomes_ready_when_its_producer_completes() {
         let mut q = IssueQueue::new();
-        q.reset(8);
+        q.reset(8, 1);
         q.insert(1, 0, 0);
         q.insert(2, 0, 0);
         assert!(!q.has_ready(100), "producer 0 has no completion yet");
@@ -253,53 +310,139 @@ mod tests {
         assert!(!q.has_ready(9));
         assert!(q.has_ready(10));
         q.promote(10);
-        assert_eq!(q.next_ready(0, 3), Some(1));
+        assert_eq!(q.next_ready(0, 3, false), Some(1));
         q.take(1);
-        assert_eq!(q.next_ready(0, 3), Some(2));
-        assert_eq!(q.next_ready(3, 3), None);
+        assert_eq!(q.next_ready(0, 3, false), Some(2));
+        assert_eq!(q.next_ready(3, 3, false), None);
     }
 
     #[test]
     fn ready_ops_are_visited_in_index_order_across_the_ring_wrap() {
         let mut q = IssueQueue::new();
-        q.reset(32); // 64 slots
+        q.reset(32, 1); // 64 slots
         q.settle_below(60);
         for op in [70, 61, 64, 63] {
             q.insert(op, NO_DEP, 0);
         }
-        let mut seen = Vec::new();
-        let mut from = 60;
-        while let Some(op) = q.next_ready(from, 80) {
-            seen.push(op);
-            from = op + 1;
-        }
-        assert_eq!(seen, [61, 63, 64, 70]);
+        assert_eq!(visit(&q, 60, 80, false), [61, 63, 64, 70]);
     }
 
     #[test]
     fn retired_and_completed_producers_need_no_wait() {
         let mut q = IssueQueue::new();
-        q.reset(8);
+        q.reset(8, 1);
         q.set_done(0, 5);
         q.settle_below(1);
         q.set_done(1, 7);
         q.insert(2, 0, 3); // retired producer: ready at once
         q.insert(3, 1, 3); // producer completes at 7
-        assert_eq!(q.next_ready(1, 4), Some(2));
+        assert_eq!(q.next_ready(1, 4, false), Some(2));
         q.take(2);
         q.promote(6);
-        assert_eq!(q.next_ready(1, 4), None);
+        assert_eq!(q.next_ready(1, 4, false), None);
         q.promote(7);
-        assert_eq!(q.next_ready(1, 4), Some(3));
+        assert_eq!(q.next_ready(1, 4, false), Some(3));
     }
 
     #[test]
     fn unreachable_forward_dependence_is_never_ready() {
         let mut q = IssueQueue::new();
-        q.reset(8);
+        q.reset(8, 1);
         q.insert(0, 1000, 0);
         q.set_done(0, 1);
         q.promote(u64::MAX - 1);
         assert!(!q.has_ready(u64::MAX - 1));
+    }
+
+    /// Ready ops `from..to` in visiting order, passing over marked ops if
+    /// `skip_marked`.
+    fn visit(q: &IssueQueue, from: usize, to: usize, skip_marked: bool) -> Vec<usize> {
+        let mut seen = Vec::new();
+        let mut from = from;
+        while let Some(op) = q.next_ready(from, to, skip_marked) {
+            seen.push(op);
+            from = op + 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn a_fill_clears_only_the_marks_recorded_in_its_set() {
+        let mut q = IssueQueue::new();
+        q.reset(8, 4);
+        for op in 0..4 {
+            q.insert(op, NO_DEP, 0);
+        }
+        q.mark_l1_miss(0, 1);
+        q.mark_l1_miss(1, 2);
+        q.mark_l1_miss(2, 1);
+        assert_eq!(visit(&q, 0, 4, false), [0, 1, 2, 3]);
+        assert_eq!(visit(&q, 0, 4, true), [3]);
+        q.l1_filled(3);
+        assert_eq!(visit(&q, 0, 4, true), [3]);
+        q.l1_filled(1);
+        assert_eq!(visit(&q, 0, 4, true), [0, 2, 3]);
+        q.l1_filled(2);
+        assert_eq!(visit(&q, 0, 4, true), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn take_clears_a_mark() {
+        let mut q = IssueQueue::new();
+        q.reset(8, 2);
+        q.insert(0, NO_DEP, 0);
+        q.mark_l1_miss(0, 1);
+        q.take(0);
+        // Same slot, next lap of a 64-slot ring.
+        q.settle_below(1);
+        q.insert(64, NO_DEP, 0);
+        assert_eq!(visit(&q, 1, 65, true), [64]);
+    }
+
+    #[test]
+    fn marks_survive_the_ring_wrap() {
+        let mut q = IssueQueue::new();
+        q.reset(32, 2); // 64 slots
+        q.settle_below(60);
+        for op in [61, 63, 64, 70] {
+            q.insert(op, NO_DEP, 0);
+        }
+        q.mark_l1_miss(63, 0);
+        q.mark_l1_miss(64, 0);
+        q.mark_l1_miss(70, 1);
+        assert_eq!(visit(&q, 60, 80, true), [61]);
+        assert_eq!(visit(&q, 60, 80, false), [61, 63, 64, 70]);
+        q.l1_filled(0);
+        assert_eq!(visit(&q, 60, 80, true), [61, 63, 64]);
+        q.l1_filled(1);
+        assert_eq!(visit(&q, 60, 80, true), [61, 63, 64, 70]);
+    }
+
+    #[test]
+    fn a_reused_slot_inherits_no_mark_and_a_stale_membership_only_unmarks() {
+        let mut q = IssueQueue::new();
+        q.reset(32, 2); // 64 slots
+        q.insert(3, NO_DEP, 0);
+        q.mark_l1_miss(3, 0);
+        q.take(3); // issued; its membership of set 0 lingers
+        q.settle_below(10);
+        // Op 67 reuses slot 3 and is ready but unmarked: never skipped.
+        q.insert(67, NO_DEP, 0);
+        assert_eq!(visit(&q, 10, 70, true), [67]);
+        // Marked in set 1, it is skipped until a fill: the stale set-0
+        // membership clears the mark early (one extra lookup, no skip)...
+        q.mark_l1_miss(67, 1);
+        assert_eq!(visit(&q, 10, 70, true), Vec::<usize>::new());
+        q.l1_filled(0);
+        assert_eq!(visit(&q, 10, 70, true), [67]);
+        // ...and its own set still wakes it after a re-mark.
+        q.mark_l1_miss(67, 1);
+        q.l1_filled(1);
+        assert_eq!(visit(&q, 10, 70, true), [67]);
+        // Reset drops every mark.
+        q.mark_l1_miss(67, 1);
+        q.reset(32, 2);
+        q.insert(0, NO_DEP, 0);
+        assert_eq!(visit(&q, 0, 10, true), [0]);
     }
 }

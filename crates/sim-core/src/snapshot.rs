@@ -434,6 +434,39 @@ impl Snapshot {
         config: &MachineConfig,
         trace: &crate::Trace,
     ) -> Result<Vec<u32>, SnapshotError> {
+        Ok(self.restored_core(core, config, trace)?.parked())
+    }
+
+    /// The memory ops of core `core` that, at the capture cycle, were
+    /// ready to issue but whose block was not in the L1, in program order.
+    ///
+    /// Once a cycle's L2 port is spent the issue pass refuses these ops,
+    /// and passes over the ones an earlier lookup marked as L1 misses.
+    /// Marks are not captured: a fork starts with none and looks each op
+    /// up again. Arguments are as for [`Snapshot::parked_ops`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::parked_ops`].
+    pub fn l1_missing_ops(
+        &self,
+        core: usize,
+        config: &MachineConfig,
+        trace: &crate::Trace,
+    ) -> Result<Vec<u32>, SnapshotError> {
+        Ok(self
+            .restored_core(core, config, trace)?
+            .ready_l1_misses(&mut crate::ResidentOps(&trace.ops)))
+    }
+
+    /// A scratch core restored from core `core`'s state, its issue queue
+    /// rebuilt from `trace` as a fork's first cycle does.
+    fn restored_core(
+        &self,
+        core: usize,
+        config: &MachineConfig,
+        trace: &crate::Trace,
+    ) -> Result<crate::engine::CoreSim, SnapshotError> {
         let cs = self
             .cores
             .get(core)
@@ -446,7 +479,8 @@ impl Snapshot {
             cs.prefetchers.len(),
             true,
         );
-        sim.parked_after_restore(cs, &mut crate::ResidentOps(&trace.ops), self.cycle)
+        sim.restore_rebuilt(cs, &mut crate::ResidentOps(&trace.ops), self.cycle)?;
+        Ok(sim)
     }
 
     /// Serializes into the framed wire format described in the module docs.

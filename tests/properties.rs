@@ -379,6 +379,53 @@ proptest! {
     }
 }
 
+// A port-starved machine: a one-to-four-set L1 in front of the default L2,
+// so most loads miss the L1, hit the L2 and queue for the single L2 port
+// per cycle. The issue pass passes over ops marked as L1 misses once the
+// port is spent; in debug builds every pass also asserts that each marked
+// op still misses, so these runs check that no skipped op could have hit.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn skip_ahead_matches_reference_stepper_on_port_starved_traces(
+        spec in proptest::collection::vec((0u8..10, 0u8..48, 0u32..12, 1u32..12), 1..400),
+        l1_sets_log2 in 0u32..3,
+        l1_ways in 1u32..3,
+        l1_hit_latency in 0u64..4,
+        l2_hit_latency in 0u64..4,
+        issue_width in 1u32..9,
+        lsq_size in 1u32..33,
+        window_size in 8u32..64,
+    ) {
+        // Mostly independent loads over a dozen blocks: one op in eight
+        // keeps one of the dependence kinds.
+        let spec: Vec<_> = spec
+            .into_iter()
+            .map(|(kind, dep, block, count)| (kind, if dep < 6 { dep } else { 0 }, block, count))
+            .collect();
+        let trace = dependence_heavy_trace(&spec);
+        let mut cfg = MachineConfig {
+            l1: CacheConfig {
+                bytes: 64 * (1 << l1_sets_log2) * l1_ways,
+                ways: l1_ways,
+                hit_latency: l1_hit_latency,
+            },
+            ..MachineConfig::default()
+        };
+        cfg.l2.hit_latency = l2_hit_latency;
+        cfg.core.issue_width = issue_width;
+        cfg.core.lsq_size = lsq_size;
+        cfg.core.window_size = window_size;
+        let skipping = Machine::new(cfg.clone()).run(&trace).expect("run");
+        prop_assert_eq!(skipping.retired_instructions, trace.instructions);
+        let mut reference = Machine::new(cfg);
+        reference.set_reference_stepping(true);
+        let reference = reference.run(&trace).expect("run");
+        prop_assert_eq!(skipping, reference);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
