@@ -16,21 +16,18 @@ use crate::dram::{Dram, DramCompletion, DramRequest};
 use crate::error::{DiagnosticSnapshot, SimError};
 use crate::issue_queue::{IssueQueue, NOT_DONE};
 use crate::mshr::MshrFile;
+use crate::multicore::{run_chip, CoreSetup, EndOfRun, RunControls};
 use crate::obs::{
     IntervalObservation, LifecycleEvent, LifecycleStage, ObsCollector, ObsConfig, PrefetcherSample,
     RunTrace, ThrottleTransition,
 };
 use crate::prefetcher::{
-    AccessKind, Aggressiveness, DemandAccess, FillEvent, PrefetchCtx, PrefetchObserver,
-    PrefetchRequest, Prefetcher, PrefetcherId,
+    AccessKind, Aggressiveness, DemandAccess, FillEvent, NullObserver, PrefetchCtx,
+    PrefetchObserver, PrefetchRequest, Prefetcher, PrefetcherId,
 };
-use crate::snapshot::{
-    config_fingerprint, CoreState, PrefetcherState, SnapReader, SnapWriter, Snapshot, SnapshotError,
-};
+use crate::snapshot::{CoreState, SnapReader, SnapWriter, Snapshot, SnapshotError};
 use crate::stats::{PrefetcherStats, RunStats};
-use crate::throttling::{
-    FeedbackCounters, IntervalFeedback, NoThrottle, ThrottleDecision, ThrottlePolicy,
-};
+use crate::throttling::{FeedbackCounters, IntervalFeedback, ThrottleDecision, ThrottlePolicy};
 use crate::trace::{OpKind, OpSource, ResidentOps, Trace, TraceOp};
 
 /// Size of the direct-mapped pollution filter (blocks evicted by
@@ -1539,97 +1536,6 @@ fn read_feedback_counters(r: &mut SnapReader<'_>) -> Result<FeedbackCounters, Sn
     })
 }
 
-/// Captures every registered prefetcher's name, aggressiveness level and
-/// learned-table blob. The level is captured here, generically, so
-/// stateless prefetchers need no [`Prefetcher::save_state`] override.
-pub(crate) fn save_prefetcher_states(prefetchers: &[Box<dyn Prefetcher>]) -> Vec<PrefetcherState> {
-    prefetchers
-        .iter()
-        .map(|p| {
-            let mut w = SnapWriter::new();
-            p.save_state(&mut w);
-            PrefetcherState {
-                name: p.name().to_string(),
-                level: p.aggressiveness(),
-                data: w.into_bytes(),
-            }
-        })
-        .collect()
-}
-
-/// Captures the throttling policy's state (the level slot is unused for
-/// throttles and stored as a fixed placeholder).
-pub(crate) fn save_throttle_state(t: &dyn ThrottlePolicy) -> PrefetcherState {
-    let mut w = SnapWriter::new();
-    t.save_state(&mut w);
-    PrefetcherState {
-        name: t.name().to_string(),
-        level: Aggressiveness::Aggressive,
-        data: w.into_bytes(),
-    }
-}
-
-/// Restores prefetcher levels and learned tables from captured states.
-/// The caller has already validated registration via
-/// [`check_registration`], so the zip lengths match.
-pub(crate) fn restore_prefetcher_states(
-    prefetchers: &mut [Box<dyn Prefetcher>],
-    states: &[PrefetcherState],
-) -> Result<(), SnapshotError> {
-    for (p, st) in prefetchers.iter_mut().zip(states) {
-        p.set_aggressiveness(st.level);
-        let mut r = SnapReader::new(&st.data);
-        p.load_state(&mut r)?;
-        r.finish()?;
-    }
-    Ok(())
-}
-
-/// Restores the throttling policy's state from its captured blob.
-pub(crate) fn restore_throttle_state(
-    throttle: &mut dyn ThrottlePolicy,
-    state: &PrefetcherState,
-) -> Result<(), SnapshotError> {
-    let mut r = SnapReader::new(&state.data);
-    throttle.load_state(&mut r)?;
-    r.finish()
-}
-
-/// Validates that a captured core's prefetcher/throttle registration
-/// matches the forking machine's (shared by [`Machine::fork_from`] and
-/// the multi-core engine).
-pub(crate) fn check_registration(
-    cs: &CoreState,
-    prefetchers: &[Box<dyn Prefetcher>],
-    throttle: &dyn ThrottlePolicy,
-    core: usize,
-) -> Result<(), SimError> {
-    if cs.prefetchers.len() != prefetchers.len() {
-        return Err(SimError::SnapshotRejected(format!(
-            "core {core}: snapshot has {} prefetchers, machine has {}",
-            cs.prefetchers.len(),
-            prefetchers.len()
-        )));
-    }
-    for (i, (st, p)) in cs.prefetchers.iter().zip(prefetchers).enumerate() {
-        if st.name != p.name() {
-            return Err(SimError::SnapshotRejected(format!(
-                "core {core} prefetcher {i}: snapshot has {:?}, machine has {:?}",
-                st.name,
-                p.name()
-            )));
-        }
-    }
-    if cs.throttle.name != throttle.name() {
-        return Err(SimError::SnapshotRejected(format!(
-            "core {core}: snapshot throttle {:?}, machine has {:?}",
-            cs.throttle.name,
-            throttle.name()
-        )));
-    }
-    Ok(())
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueOutcome {
     Issued,
@@ -1650,18 +1556,10 @@ pub const WALL_DEADLINE_POLL_ITERS: u32 = 1 << 14;
 /// [`PrefetcherId`]s), then call [`Machine::run`].
 pub struct Machine {
     config: Arc<MachineConfig>,
-    prefetchers: Vec<Box<dyn Prefetcher>>,
-    throttle: Box<dyn ThrottlePolicy>,
+    setup: CoreSetup,
     observer: Option<Box<dyn PrefetchObserver>>,
-    cycle_budget: Option<u64>,
-    wall_deadline: Option<std::time::Duration>,
-    obs_config: Option<ObsConfig>,
-    validate_config: Option<crate::validate::ValidateConfig>,
+    ctl: RunControls,
     run_trace: Option<RunTrace>,
-    no_skip: bool,
-    warm_cycles: Option<u64>,
-    captured: Option<Snapshot>,
-    resume: Option<Snapshot>,
 }
 
 impl Machine {
@@ -1673,18 +1571,10 @@ impl Machine {
     pub fn new(config: impl Into<Arc<MachineConfig>>) -> Self {
         Machine {
             config: config.into(),
-            prefetchers: Vec::new(),
-            throttle: Box::new(NoThrottle),
+            setup: CoreSetup::bare(),
             observer: None,
-            cycle_budget: None,
-            wall_deadline: None,
-            obs_config: None,
-            validate_config: None,
+            ctl: RunControls::default(),
             run_trace: None,
-            no_skip: false,
-            warm_cycles: None,
-            captured: None,
-            resume: None,
         }
     }
 
@@ -1694,7 +1584,7 @@ impl Machine {
     /// skipping mode (the equivalence property tests pin this down), it
     /// is just slower. Useful for debugging the skip logic itself.
     pub fn set_reference_stepping(&mut self, on: bool) -> &mut Self {
-        self.no_skip = on;
+        self.ctl.no_skip = on;
         self
     }
 
@@ -1702,7 +1592,7 @@ impl Machine {
     /// fails with [`SimError::CycleBudgetExceeded`] instead of running
     /// on. `None` (the default) means unlimited.
     pub fn set_cycle_budget(&mut self, budget: Option<u64>) -> &mut Self {
-        self.cycle_budget = budget;
+        self.ctl.cycle_budget = budget;
         self
     }
 
@@ -1719,20 +1609,20 @@ impl Machine {
     /// bit-identical with or without a deadline installed — the check is
     /// a pure read.
     pub fn set_wall_deadline(&mut self, deadline: Option<std::time::Duration>) -> &mut Self {
-        self.wall_deadline = deadline;
+        self.ctl.wall_deadline = deadline;
         self
     }
 
     /// Registers a prefetcher; returns its id (registration index).
     pub fn add_prefetcher(&mut self, p: Box<dyn Prefetcher>) -> PrefetcherId {
-        let id = PrefetcherId(self.prefetchers.len() as u8);
-        self.prefetchers.push(p);
+        let id = PrefetcherId(self.setup.prefetchers.len() as u8);
+        self.setup.prefetchers.push(p);
         id
     }
 
     /// Installs a throttling policy (default: none).
     pub fn set_throttle(&mut self, t: Box<dyn ThrottlePolicy>) -> &mut Self {
-        self.throttle = t;
+        self.setup.throttle = t;
         self
     }
 
@@ -1750,7 +1640,7 @@ impl Machine {
     /// Enables observability collection for subsequent runs. Pass a
     /// config with no classes enabled (the default) to turn it back off.
     pub fn set_obs(&mut self, cfg: ObsConfig) -> &mut Self {
-        self.obs_config = cfg.any().then_some(cfg);
+        self.ctl.obs_config = cfg.any().then_some(cfg);
         self
     }
 
@@ -1763,7 +1653,7 @@ impl Machine {
     /// themselves never perturb simulation state, so a validated run's
     /// statistics are bit-identical to an unvalidated one's.
     pub fn set_validate(&mut self, cfg: crate::validate::ValidateConfig) -> &mut Self {
-        self.validate_config = Some(cfg);
+        self.ctl.validate_config = Some(cfg);
         self
     }
 
@@ -1771,7 +1661,7 @@ impl Machine {
     /// pin a static level for differential experiments; the default is
     /// each prefetcher's own initial level).
     pub fn set_initial_aggressiveness(&mut self, level: Aggressiveness) -> &mut Self {
-        for p in &mut self.prefetchers {
+        for p in &mut self.setup.prefetchers {
             p.set_aggressiveness(level);
         }
         self
@@ -1788,7 +1678,7 @@ impl Machine {
         index: usize,
         level: Aggressiveness,
     ) -> &mut Self {
-        self.prefetchers[index].set_aggressiveness(level);
+        self.setup.prefetchers[index].set_aggressiveness(level);
         self
     }
 
@@ -1804,7 +1694,7 @@ impl Machine {
     /// read of machine state, so a run with a checkpoint armed is
     /// bit-identical to one without. `None` disarms.
     pub fn set_warm_checkpoint(&mut self, cycles: Option<u64>) -> &mut Self {
-        self.warm_cycles = cycles;
+        self.ctl.warm_cycles = cycles;
         self
     }
 
@@ -1812,7 +1702,7 @@ impl Machine {
     /// if a checkpoint was armed with [`Machine::set_warm_checkpoint`]
     /// and the run reached the capture cycle.
     pub fn take_snapshot(&mut self) -> Option<Snapshot> {
-        self.captured.take()
+        self.ctl.captured.take()
     }
 
     /// Arms the next [`Machine::run`] to resume from `snapshot` instead
@@ -1829,62 +1719,10 @@ impl Machine {
     /// (fingerprint mismatch), or its prefetcher/throttle registration
     /// does not match this machine's.
     pub fn fork_from(&mut self, snapshot: &Snapshot) -> Result<&mut Self, SimError> {
-        if snapshot.cores.len() != 1 || !snapshot.finished.is_empty() {
-            return Err(SimError::SnapshotRejected(format!(
-                "single-core machine cannot fork a {}-core multi-machine snapshot",
-                snapshot.cores.len()
-            )));
-        }
-        let fp = config_fingerprint(&self.config);
-        if snapshot.config_fp != fp {
-            return Err(SimError::SnapshotRejected(format!(
-                "configuration fingerprint {fp:#018x} != snapshot {:#018x}",
-                snapshot.config_fp
-            )));
-        }
-        check_registration(
-            &snapshot.cores[0],
-            &self.prefetchers,
-            self.throttle.as_ref(),
-            0,
-        )?;
-        self.resume = Some(snapshot.clone());
+        let setup = std::slice::from_ref(&self.setup);
+        self.ctl
+            .arm_fork(snapshot, &self.config, setup, EndOfRun::Retire)?;
         Ok(self)
-    }
-
-    /// Reads the complete machine state into a [`Snapshot`]. Pure read:
-    /// simulation state is untouched (memory pages are CoW-shared).
-    fn capture(&self, now: u64, core: &CoreSim, dram: &Dram) -> Snapshot {
-        Snapshot {
-            cycle: now,
-            config_fp: config_fingerprint(&self.config),
-            cores: vec![CoreState {
-                mem: Arc::new(core.mem.clone()),
-                core: core.save_warm(now),
-                prefetchers: save_prefetcher_states(&self.prefetchers),
-                throttle: save_throttle_state(self.throttle.as_ref()),
-            }],
-            dram: dram.save_state(),
-            finished: Vec::new(),
-            bus_at_start: Vec::new(),
-        }
-    }
-
-    /// Applies an armed snapshot to the freshly built `core` and `dram`,
-    /// returning the cycle to resume at.
-    fn resume_from(
-        &mut self,
-        snap: &Snapshot,
-        core: &mut CoreSim,
-        dram: &mut Dram,
-    ) -> Result<u64, SimError> {
-        let rej = |e: SnapshotError| SimError::SnapshotRejected(e.to_string());
-        let cs = &snap.cores[0];
-        core.restore_warm(cs).map_err(rej)?;
-        restore_prefetcher_states(&mut self.prefetchers, &cs.prefetchers).map_err(rej)?;
-        restore_throttle_state(self.throttle.as_mut(), &cs.throttle).map_err(rej)?;
-        dram.restore_state(&snap.dram).map_err(rej)?;
-        Ok(snap.cycle)
     }
 
     /// The machine configuration this machine was built with.
@@ -1894,7 +1732,7 @@ impl Machine {
 
     /// Access to a registered prefetcher (for post-run inspection).
     pub fn prefetcher(&self, id: PrefetcherId) -> &dyn Prefetcher {
-        self.prefetchers[id.0 as usize].as_ref()
+        self.setup.prefetchers[id.0 as usize].as_ref()
     }
 
     /// Replays `trace` to completion and returns the run statistics.
@@ -1937,139 +1775,29 @@ impl Machine {
         self.run_inner(initial_memory, ops)
     }
 
+    /// Runs the one-core chip until the trace retires, then ends the run
+    /// the single-core way: drain, settle resident prefetches, and check
+    /// the exact end-of-run invariants.
     fn run_inner<O: OpSource>(
         &mut self,
         initial_memory: &SimMemory,
         ops: &mut O,
     ) -> Result<RunStats, SimError> {
-        let total_ops = ops.total_ops();
-        let mut core = CoreSim::new(
-            0,
-            Arc::clone(&self.config),
-            initial_memory,
-            total_ops,
-            self.prefetchers.len(),
-            self.resume.is_some(),
-        );
-        if let Some(cfg) = &self.obs_config {
-            core.obs = Some(Box::new(ObsCollector::new(*cfg)));
-        }
-        if self.validate_config.is_some() {
-            core.validate = crate::validate::runtime_validator_for(self.validate_config.as_ref());
-        }
         self.run_trace = None;
-        let mut dram = Dram::new(self.config.dram.clone(), 1);
-        let mut observer: Box<dyn PrefetchObserver> = self
-            .observer
-            .take()
-            .unwrap_or_else(|| Box::new(crate::prefetcher::NullObserver));
-
-        self.captured = None;
-        let wall = self
-            .wall_deadline
-            .map(|limit| (std::time::Instant::now(), limit));
-        let mut wall_poll: u32 = 0;
-        let mut now: u64 = 0;
-        if let Some(snap) = self.resume.take() {
-            match self.resume_from(&snap, &mut core, &mut dram) {
-                Ok(cycle) => now = cycle,
-                Err(e) => {
-                    self.observer = Some(observer);
-                    return Err(e);
-                }
-            }
-        }
-        let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);
-        while !core.finished() {
-            // Warm-state capture: a pure read of machine state at the top
-            // of the loop, before this cycle's DRAM tick, so an armed
-            // checkpoint never perturbs the run and a forked machine
-            // re-enters the loop at exactly this point.
-            if now >= capture_at {
-                capture_at = u64::MAX;
-                let snap = self.capture(now, &core, &dram);
-                self.captured = Some(snap);
-            }
-            let mut activity = false;
-            for completion in dram.tick(now) {
-                core.apply_completion(completion, now, &mut self.prefetchers, observer.as_mut());
-                activity = true;
-            }
-            activity |= core.step(
-                ops,
-                now,
-                &mut dram,
-                &mut self.prefetchers,
-                observer.as_mut(),
-            );
-            activity |= core.issue_to_dram(&mut dram, now, observer.as_mut());
-            core.maybe_end_interval(
-                &mut self.prefetchers,
-                self.throttle.as_mut(),
-                now,
-                dram.bus_transfers(),
-                dram.bus_busy_slack(),
-            );
-
-            // Watchdog: cycling without retiring or draining an MSHR for
-            // the deadlock budget is a livelock even if "activity" (e.g.
-            // prefetch churn) never ceases.
-            if now.saturating_sub(core.last_progress()) >= self.config.deadlock_cycles {
-                self.observer = Some(observer);
-                return Err(SimError::Deadlock(core.snapshot(now, &dram)));
-            }
-            if let Some(budget) = self.cycle_budget {
-                if now >= budget {
-                    self.observer = Some(observer);
-                    return Err(SimError::CycleBudgetExceeded {
-                        budget,
-                        snapshot: core.snapshot(now, &dram),
-                    });
-                }
-            }
-            // Wall-clock deadline, polled coarsely so `Instant::now`
-            // stays off the hot path: on overrun the watchdog captures
-            // the diagnostic snapshot and kills the run.
-            if let Some((started, limit)) = wall {
-                wall_poll += 1;
-                if wall_poll >= WALL_DEADLINE_POLL_ITERS {
-                    wall_poll = 0;
-                    if started.elapsed() >= limit {
-                        self.observer = Some(observer);
-                        return Err(SimError::DeadlineExceeded {
-                            deadline_ms: limit.as_millis() as u64,
-                            snapshot: core.snapshot(now, &dram),
-                        });
-                    }
-                }
-            }
-
-            if activity {
-                now += 1;
-                continue;
-            }
-            // Idle: skip to the next event (or crawl there one cycle at a
-            // time under the reference stepper — same visited events).
-            if core.has_immediate_work(ops, now, dram.is_full()) {
-                now += 1;
-                continue;
-            }
-            let mut next = core.next_local_event(now);
-            if let Some(d) = dram.next_event(now) {
-                next = Some(next.map_or(d, |n| n.min(d)));
-            }
-            match next {
-                Some(n) => now = if self.no_skip { now + 1 } else { n },
-                None => {
-                    // Fully quiescent with unfinished work: nothing is in
-                    // flight anywhere, so no future cycle can change
-                    // state. Report the deadlock immediately instead of
-                    // idling through the whole watchdog budget.
-                    self.observer = Some(observer);
-                    return Err(SimError::Deadlock(core.snapshot(now, &dram)));
-                }
-            }
-        }
+        let mut null = NullObserver;
+        let observer = self.observer.as_deref_mut().unwrap_or(&mut null);
+        let mut chip = run_chip(
+            &self.config,
+            &mut self.ctl,
+            std::slice::from_mut(&mut self.setup),
+            &[initial_memory],
+            std::slice::from_mut(ops),
+            observer,
+            EndOfRun::Retire,
+        )?;
+        let prefetchers = &mut self.setup.prefetchers;
+        let (core, dram) = (&mut chip.sims[0], &mut chip.dram);
+        let mut now = chip.now;
 
         // Drain in-flight misses and writebacks so bandwidth counters see
         // the traffic the workload generated (stores retire before their
@@ -2078,19 +1806,18 @@ impl Machine {
         let drain_deadline = now + self.config.deadlock_cycles;
         while core.mshrs.occupied() > 0 || core.has_pending_writebacks() || dram.occupancy() > 0 {
             for completion in dram.tick(now) {
-                core.apply_completion(completion, now, &mut self.prefetchers, observer.as_mut());
+                core.apply_completion(completion, now, prefetchers, observer);
             }
-            core.issue_to_dram(&mut dram, now, observer.as_mut());
-            now = if self.no_skip {
+            core.issue_to_dram(dram, now, observer);
+            now = if self.ctl.no_skip {
                 now + 1
             } else {
                 dram.next_event(now).unwrap_or(now + 1)
             };
             if now >= drain_deadline {
-                self.observer = Some(observer);
                 return Err(SimError::InvariantViolation(format!(
                     "post-run drain did not converge: {}",
-                    core.snapshot(now, &dram)
+                    core.snapshot(now, dram)
                 )));
             }
         }
@@ -2110,32 +1837,14 @@ impl Machine {
             core.obs_lifecycle(now, LifecycleStage::Evicted, pid, block_addr, false);
         }
 
+        let bus_transfer_cycles = self.config.dram.bus_transfer_cycles;
         if let Some(v) = core.validate.take() {
-            if let Err(e) = v.finish(
-                &core.stats,
-                now,
-                dram.bus_transfers(),
-                self.config.dram.bus_transfer_cycles,
-            ) {
-                self.observer = Some(observer);
-                return Err(e);
-            }
+            v.finish(&core.stats, now, dram.bus_transfers(), bus_transfer_cycles)?;
         }
-
-        self.observer = Some(observer);
-        if let Some(o) = core.obs.take() {
-            self.run_trace = Some(o.into_trace());
-        }
-        let mut stats = std::mem::take(&mut core.stats);
-        stats.cycles = end_cycles.max(1);
-        stats.bus_transfers = dram.bus_transfers();
-        stats.bus_busy_cycles = stats.bus_transfers * self.config.dram.bus_transfer_cycles;
-        let (rh, rc) = dram.row_stats();
-        stats.dram_row_hits = rh;
-        stats.dram_row_conflicts = rc;
-        for (i, p) in self.prefetchers.iter().enumerate() {
-            stats.prefetchers[i].name = p.name().to_string();
-        }
+        self.run_trace = core.obs.take().map(|o| o.into_trace());
+        let stats = std::mem::take(&mut core.stats);
+        let mut stats = chip.core_stats(0, stats, end_cycles, &self.setup, bus_transfer_cycles);
+        (stats.dram_row_hits, stats.dram_row_conflicts) = chip.dram.row_stats();
         Ok(stats)
     }
 }
@@ -2143,14 +1852,14 @@ impl Machine {
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("prefetchers", &self.prefetchers.len())
-            .field("throttle", &self.throttle.name())
+            .field("prefetchers", &self.setup.prefetchers.len())
+            .field("throttle", &self.setup.throttle.name())
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::trace::TraceBuilder;
     use sim_mem::layout;
@@ -2578,14 +2287,14 @@ mod tests {
     /// streak and prefetches ahead proportionally, so a fork that failed to
     /// restore learned state or the aggressiveness level would issue
     /// different requests and visibly diverge from the cold run.
-    struct StreakPrefetcher {
+    pub(crate) struct StreakPrefetcher {
         level: Aggressiveness,
         last_block: Addr,
         streak: u32,
     }
 
     impl StreakPrefetcher {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             StreakPrefetcher {
                 level: Aggressiveness::Moderate,
                 last_block: 0,

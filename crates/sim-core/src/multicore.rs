@@ -1,5 +1,6 @@
 //! Multi-core simulation: private L1/L2/prefetchers per core, shared memory
-//! request buffer, DRAM banks and data bus.
+//! request buffer, DRAM banks and data bus — and the one cycle loop that
+//! every run goes through, [`crate::Machine`] being its one-core case.
 //!
 //! Methodology follows the paper's multi-core experiments: every core runs
 //! its own workload; when a core finishes its trace its statistics are
@@ -7,18 +8,18 @@
 //! memory-system contention persists until the slowest core completes.
 
 use crate::dram::Dram;
-use crate::engine::{
-    check_registration, restore_prefetcher_states, restore_throttle_state, save_prefetcher_states,
-    save_throttle_state, CoreSim,
-};
-use crate::error::SimError;
+use crate::engine::{CoreSim, WALL_DEADLINE_POLL_ITERS};
+use crate::error::{DiagnosticSnapshot, SimError};
 use crate::obs::{ObsCollector, ObsConfig, RunTrace};
-use crate::prefetcher::{NullObserver, Prefetcher};
-use crate::snapshot::{config_fingerprint, CoreState, Snapshot, SnapshotError};
+use crate::prefetcher::{Aggressiveness, NullObserver, PrefetchObserver, Prefetcher};
+use crate::snapshot::{
+    config_fingerprint, CoreState, PrefetcherState, SnapReader, SnapWriter, Snapshot, SnapshotError,
+};
 use crate::stats::RunStats;
 use crate::throttling::{NoThrottle, ThrottlePolicy};
-use crate::trace::{ResidentOps, Trace};
+use crate::trace::{OpSource, ResidentOps, Trace};
 use crate::MachineConfig;
+use sim_mem::SimMemory;
 use std::sync::Arc;
 
 /// Per-core prefetcher + throttling configuration for [`MultiMachine`].
@@ -99,17 +100,366 @@ impl MultiRunStats {
     }
 }
 
+/// How a run ends — the one part of the chip loop that depends on the
+/// caller, because the paper measures one core and a mix differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EndOfRun {
+    /// Single-core: the run is over once the trace retires; the caller
+    /// drains the memory system and reads the statistics off the core.
+    Retire,
+    /// Multi-core: each core's statistics are snapshotted when it first
+    /// finishes, and the core is rewound until every core has finished.
+    Rewind,
+}
+
+/// Run controls shared by [`crate::Machine`] and [`MultiMachine`]: what
+/// to collect, when to give up, and the warm checkpoint to capture or
+/// resume from.
+#[derive(Default)]
+pub(crate) struct RunControls {
+    pub(crate) obs_config: Option<ObsConfig>,
+    pub(crate) validate_config: Option<crate::validate::ValidateConfig>,
+    pub(crate) cycle_budget: Option<u64>,
+    pub(crate) wall_deadline: Option<std::time::Duration>,
+    /// Reference stepper: crawl idle regions one cycle at a time.
+    pub(crate) no_skip: bool,
+    pub(crate) warm_cycles: Option<u64>,
+    pub(crate) captured: Option<Snapshot>,
+    pub(crate) resume: Option<Snapshot>,
+}
+
+impl RunControls {
+    /// Arms the next run to resume from `snapshot` once it is known to
+    /// fit: the same core count and end-of-run policy (single-core
+    /// snapshots carry no per-core finish records), the same configuration
+    /// fingerprint, and the same prefetcher/throttle registration on every
+    /// core.
+    pub(crate) fn arm_fork(
+        &mut self,
+        snapshot: &Snapshot,
+        config: &MachineConfig,
+        cores: &[CoreSetup],
+        end: EndOfRun,
+    ) -> Result<(), SimError> {
+        let reject = |msg: String| Err(SimError::SnapshotRejected(msg));
+        let n = cores.len();
+        let records = if end == EndOfRun::Rewind { n } else { 0 };
+        let shape = |s: &Snapshot| (s.cores.len(), s.finished.len(), s.bus_at_start.len());
+        if shape(snapshot) != (n, records, records) {
+            let (cores, finished, _) = shape(snapshot);
+            return reject(format!(
+                "{n}-core machine ({records} finish records) cannot fork a {cores}-core \
+                 snapshot ({finished} finish records)"
+            ));
+        }
+        let fp = config_fingerprint(config);
+        if snapshot.config_fp != fp {
+            return reject(format!(
+                "configuration fingerprint {fp:#018x} != snapshot {:#018x}",
+                snapshot.config_fp
+            ));
+        }
+        for (c, (cs, setup)) in snapshot.cores.iter().zip(cores).enumerate() {
+            // Prefetcher names in registration order, then the throttle's.
+            let saved = cs.prefetchers.iter().chain([&cs.throttle]);
+            let saved: Vec<&str> = saved.map(|p| &*p.name).collect();
+            let ours = setup.prefetchers.iter().map(|p| p.name());
+            let ours: Vec<&str> = ours.chain([setup.throttle.name()]).collect();
+            if saved != ours {
+                return reject(format!(
+                    "core {c}: snapshot has {saved:?}, machine has {ours:?}"
+                ));
+            }
+        }
+        self.resume = Some(snapshot.clone());
+        Ok(())
+    }
+}
+
+/// The simulated chip mid-run: one [`CoreSim`] per core, the shared DRAM
+/// system and the clock.
+pub(crate) struct Chip {
+    pub(crate) sims: Vec<CoreSim>,
+    pub(crate) dram: Dram,
+    pub(crate) now: u64,
+    /// Under [`EndOfRun::Rewind`], each core's statistics from its first
+    /// finish; empty under [`EndOfRun::Retire`].
+    finished: Vec<Option<RunStats>>,
+    /// Per-core bus-transfer baselines, shaped like `finished`.
+    bus_at_start: Vec<u64>,
+}
+
+impl Chip {
+    /// Whether the run goes on under `end`.
+    fn running(&self, end: EndOfRun) -> bool {
+        match end {
+            EndOfRun::Retire => !self.sims[0].finished(),
+            EndOfRun::Rewind => self.finished.iter().any(Option::is_none),
+        }
+    }
+
+    /// The state attached to an error: that of the first core that has
+    /// not finished its trace (rewound cores count as finished), which is
+    /// core 0 on a single-core chip.
+    #[cold]
+    #[inline(never)]
+    fn diagnose(&self) -> DiagnosticSnapshot {
+        let unfinished = self.finished.iter().position(Option::is_none);
+        self.sims[unfinished.unwrap_or_default()].snapshot(self.now, &self.dram)
+    }
+
+    /// Core `c`'s statistics as a run reports them: its counters at
+    /// `cycles`, its share of the bus, and its prefetchers' names.
+    pub(crate) fn core_stats(
+        &self,
+        c: usize,
+        mut stats: RunStats,
+        cycles: u64,
+        setup: &CoreSetup,
+        bus_transfer_cycles: u64,
+    ) -> RunStats {
+        stats.cycles = cycles.max(1);
+        stats.bus_transfers = self.dram.bus_transfers_for(c as u8)
+            - self.bus_at_start.get(c).copied().unwrap_or_default();
+        stats.bus_busy_cycles = stats.bus_transfers * bus_transfer_cycles;
+        for (s, p) in stats.prefetchers.iter_mut().zip(&setup.prefetchers) {
+            s.name = p.name().to_string();
+        }
+        stats
+    }
+
+    /// Reads the complete chip state into a [`Snapshot`]. Pure read:
+    /// simulation state is untouched (memory pages are CoW-shared). Each
+    /// prefetcher's level is captured here, generically, so stateless
+    /// prefetchers need no [`Prefetcher::save_state`] override; throttles
+    /// store a fixed placeholder level.
+    #[cold]
+    #[inline(never)]
+    fn capture(&self, config: &MachineConfig, cores: &[CoreSetup]) -> Snapshot {
+        let saved = |name: &str, level, save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            save(&mut w);
+            let (name, data) = (name.to_string(), w.into_bytes());
+            PrefetcherState { name, level, data }
+        };
+        let cores = self.sims.iter().zip(cores).map(|(sim, setup)| CoreState {
+            mem: Arc::new(sim.mem.clone()),
+            core: sim.save_warm(self.now),
+            prefetchers: (setup.prefetchers.iter())
+                .map(|p| saved(p.name(), p.aggressiveness(), &|w| p.save_state(w)))
+                .collect(),
+            throttle: saved(setup.throttle.name(), Aggressiveness::Aggressive, &|w| {
+                setup.throttle.save_state(w);
+            }),
+        });
+        Snapshot {
+            cycle: self.now,
+            config_fp: config_fingerprint(config),
+            cores: cores.collect(),
+            dram: self.dram.save_state(),
+            finished: self.finished.clone(),
+            bus_at_start: self.bus_at_start.clone(),
+        }
+    }
+
+    /// Applies a snapshot armed by [`RunControls::arm_fork`] (which has
+    /// checked the registration, so every zip below is length-matched) to
+    /// the freshly built chip.
+    #[inline(never)]
+    fn restore(&mut self, snap: &Snapshot, cores: &mut [CoreSetup]) -> Result<(), SnapshotError> {
+        for ((sim, setup), cs) in self.sims.iter_mut().zip(cores).zip(&snap.cores) {
+            sim.restore_warm(cs)?;
+            for (p, st) in setup.prefetchers.iter_mut().zip(&cs.prefetchers) {
+                p.set_aggressiveness(st.level);
+                let mut r = SnapReader::new(&st.data);
+                p.load_state(&mut r)?;
+                r.finish()?;
+            }
+            let mut r = SnapReader::new(&cs.throttle.data);
+            setup.throttle.load_state(&mut r)?;
+            r.finish()?;
+        }
+        self.dram.restore_state(&snap.dram)?;
+        self.finished.clone_from(&snap.finished);
+        self.bus_at_start.clone_from(&snap.bus_at_start);
+        self.now = snap.cycle;
+        Ok(())
+    }
+
+    /// The next cycle to visit after an idle one: the very next cycle if
+    /// any core could act on it (or under the reference stepper), else
+    /// the earliest pending event. A chip with nothing in flight anywhere
+    /// can never change state again, so it is reported as deadlocked at
+    /// once instead of idling through the whole watchdog budget.
+    fn next_visit<O: OpSource>(&self, ops: &mut [O], no_skip: bool) -> Result<u64, SimError> {
+        let now = self.now;
+        let dram_full = self.dram.is_full();
+        let mut cores = self.sims.iter().zip(ops.iter_mut());
+        if cores.any(|(s, o)| s.has_immediate_work(o, now, dram_full)) {
+            return Ok(now + 1);
+        }
+        let local = self.sims.iter().filter_map(|s| s.next_local_event(now));
+        match local.chain(self.dram.next_event(now)).min() {
+            Some(e) => Ok(if no_skip { now + 1 } else { e }),
+            None => Err(SimError::Deadlock(self.diagnose())),
+        }
+    }
+}
+
+/// The one cycle loop behind [`crate::Machine::run`],
+/// [`crate::Machine::run_streamed`] and [`MultiMachine::run`]: builds a
+/// chip of `cores.len()` cores (resuming an armed fork), then advances it
+/// until `end` says the run is over and hands it back for the caller to
+/// finish the run.
+///
+/// Each visited cycle captures an armed warm checkpoint, applies DRAM
+/// completions, steps every core in an order rotated for fairness, then
+/// checks the watchdog, the cycle budget and the wall-clock deadline
+/// before moving the clock to the next cycle or event. Always inlined, so
+/// each caller's copy is specialised to its policy and core count (one
+/// for [`crate::Machine`]); once-per-run and error paths stay out of line.
+#[inline(always)]
+pub(crate) fn run_chip<O: OpSource>(
+    config: &Arc<MachineConfig>,
+    ctl: &mut RunControls,
+    cores: &mut [CoreSetup],
+    initial_memory: &[&SimMemory],
+    ops: &mut [O],
+    observer: &mut dyn PrefetchObserver,
+    end: EndOfRun,
+) -> Result<Chip, SimError> {
+    let n = cores.len();
+    let sims = (0..n)
+        .map(|c| {
+            let mut sim = CoreSim::new(
+                c as u8,
+                Arc::clone(config),
+                initial_memory[c],
+                ops[c].total_ops(),
+                cores[c].prefetchers.len(),
+                ctl.resume.is_some(),
+            );
+            sim.obs = ctl.obs_config.map(|cfg| Box::new(ObsCollector::new(cfg)));
+            if ctl.validate_config.is_some() {
+                sim.validate = crate::validate::runtime_validator_for(ctl.validate_config.as_ref());
+            }
+            sim
+        })
+        .collect();
+    let records = if end == EndOfRun::Rewind { n } else { 0 };
+    let mut chip = Chip {
+        sims,
+        dram: Dram::new(config.dram.clone(), n as u32),
+        now: 0,
+        finished: vec![None; records],
+        bus_at_start: vec![0; records],
+    };
+    ctl.captured = None;
+    if let Some(snap) = ctl.resume.take() {
+        let rejected = |e: SnapshotError| SimError::SnapshotRejected(e.to_string());
+        chip.restore(&snap, cores).map_err(rejected)?;
+    }
+    let mut capture_at = ctl.warm_cycles.unwrap_or(u64::MAX);
+    let wall = ctl
+        .wall_deadline
+        .map(|limit| (std::time::Instant::now(), limit));
+    let mut wall_poll: u32 = 0;
+
+    while chip.running(end) {
+        let now = chip.now;
+        // Warm-state capture: a pure read of chip state at the top of the
+        // loop, before this cycle's DRAM tick, so an armed checkpoint never
+        // perturbs the run and a forked chip re-enters the loop at exactly
+        // this point.
+        if now >= capture_at {
+            capture_at = u64::MAX;
+            ctl.captured = Some(chip.capture(config, cores));
+        }
+        let mut activity = false;
+        for completion in chip.dram.tick(now) {
+            let c = completion.request.core as usize;
+            chip.sims[c].apply_completion(completion, now, &mut cores[c].prefetchers, observer);
+            activity = true;
+        }
+        // Rotate core service order for fairness.
+        let first = if n == 1 { 0 } else { (now % n as u64) as usize };
+        for c in (first..n).chain(0..first) {
+            let (sim, setup) = (&mut chip.sims[c], &mut cores[c]);
+            activity |= sim.step(
+                &mut ops[c],
+                now,
+                &mut chip.dram,
+                &mut setup.prefetchers,
+                observer,
+            );
+            activity |= sim.issue_to_dram(&mut chip.dram, now, observer);
+            sim.maybe_end_interval(
+                &mut setup.prefetchers,
+                setup.throttle.as_mut(),
+                now,
+                chip.dram.bus_transfers_for(c as u8),
+                chip.dram.bus_busy_slack(),
+            );
+            if end == EndOfRun::Rewind && sim.finished() {
+                if chip.finished[c].is_none() {
+                    let stats = sim.stats.clone();
+                    let stats =
+                        chip.core_stats(c, stats, now, setup, config.dram.bus_transfer_cycles);
+                    chip.finished[c] = Some(stats);
+                }
+                // Restart the trace to keep generating contention (unless
+                // everyone is done).
+                if chip.running(end) {
+                    chip.sims[c].rewind(initial_memory[c]);
+                }
+            }
+        }
+
+        // Watchdog: if *no* core retired or drained an MSHR within the
+        // deadlock budget, the chip is livelocked even if "activity"
+        // (e.g. prefetch churn) never ceases.
+        let newest_progress = chip.sims.iter().map(CoreSim::last_progress).max();
+        if now.saturating_sub(newest_progress.unwrap_or(0)) >= config.deadlock_cycles {
+            return Err(SimError::Deadlock(chip.diagnose()));
+        }
+        if let Some(budget) = ctl.cycle_budget {
+            if now >= budget {
+                return Err(SimError::CycleBudgetExceeded {
+                    budget,
+                    snapshot: chip.diagnose(),
+                });
+            }
+        }
+        // Wall-clock deadline, polled coarsely so `Instant::now` stays off
+        // the hot path: on overrun the run dies with a diagnostic snapshot.
+        if let Some((started, limit)) = wall {
+            wall_poll += 1;
+            if wall_poll >= WALL_DEADLINE_POLL_ITERS {
+                wall_poll = 0;
+                if started.elapsed() >= limit {
+                    return Err(SimError::DeadlineExceeded {
+                        deadline_ms: limit.as_millis() as u64,
+                        snapshot: chip.diagnose(),
+                    });
+                }
+            }
+        }
+
+        chip.now = if activity {
+            now + 1
+        } else {
+            chip.next_visit(ops, ctl.no_skip)?
+        };
+    }
+    Ok(chip)
+}
+
 /// A chip multiprocessor: N cores with private cache hierarchies sharing the
 /// DRAM system.
 pub struct MultiMachine {
     config: Arc<MachineConfig>,
     cores: Vec<CoreSetup>,
-    obs_config: Option<ObsConfig>,
-    validate_config: Option<crate::validate::ValidateConfig>,
-    warm_cycles: Option<u64>,
-    wall_deadline: Option<std::time::Duration>,
-    captured: Option<Snapshot>,
-    resume: Option<Snapshot>,
+    ctl: RunControls,
 }
 
 impl MultiMachine {
@@ -119,12 +469,7 @@ impl MultiMachine {
         MultiMachine {
             config: config.into(),
             cores,
-            obs_config: None,
-            validate_config: None,
-            warm_cycles: None,
-            wall_deadline: None,
-            captured: None,
-            resume: None,
+            ctl: RunControls::default(),
         }
     }
 
@@ -133,13 +478,13 @@ impl MultiMachine {
     /// with [`SimError::DeadlineExceeded`] carrying a diagnostic
     /// snapshot of the first unfinished core. `None` disarms.
     pub fn set_wall_deadline(&mut self, deadline: Option<std::time::Duration>) -> &mut Self {
-        self.wall_deadline = deadline;
+        self.ctl.wall_deadline = deadline;
         self
     }
 
     /// Enables observability collection on every core for subsequent runs.
     pub fn set_obs(&mut self, cfg: ObsConfig) -> &mut Self {
-        self.obs_config = cfg.any().then_some(cfg);
+        self.ctl.obs_config = cfg.any().then_some(cfg);
         self
     }
 
@@ -149,7 +494,7 @@ impl MultiMachine {
     /// snapshotted mid-flight while rewound cores keep generating
     /// contention, so the end-of-run exact decomposition does not apply.
     pub fn set_validate(&mut self, cfg: crate::validate::ValidateConfig) -> &mut Self {
-        self.validate_config = Some(cfg);
+        self.ctl.validate_config = Some(cfg);
         self
     }
 
@@ -164,13 +509,13 @@ impl MultiMachine {
     /// shared DRAM system at the first visited cycle at or past `cycles`.
     /// Capture is a pure read; `None` disarms.
     pub fn set_warm_checkpoint(&mut self, cycles: Option<u64>) -> &mut Self {
-        self.warm_cycles = cycles;
+        self.ctl.warm_cycles = cycles;
         self
     }
 
     /// Removes and returns the snapshot captured by the most recent run.
     pub fn take_snapshot(&mut self) -> Option<Snapshot> {
-        self.captured.take()
+        self.ctl.captured.take()
     }
 
     /// Arms the next [`MultiMachine::run`] to resume from `snapshot`.
@@ -184,27 +529,8 @@ impl MultiMachine {
     /// configuration (fingerprint mismatch), or any core's
     /// prefetcher/throttle registration does not match.
     pub fn fork_from(&mut self, snapshot: &Snapshot) -> Result<&mut Self, SimError> {
-        let n = self.cores.len();
-        if snapshot.cores.len() != n
-            || snapshot.finished.len() != n
-            || snapshot.bus_at_start.len() != n
-        {
-            return Err(SimError::SnapshotRejected(format!(
-                "{n}-core machine cannot fork a {}-core snapshot",
-                snapshot.cores.len()
-            )));
-        }
-        let fp = config_fingerprint(&self.config);
-        if snapshot.config_fp != fp {
-            return Err(SimError::SnapshotRejected(format!(
-                "configuration fingerprint {fp:#018x} != snapshot {:#018x}",
-                snapshot.config_fp
-            )));
-        }
-        for (c, (cs, setup)) in snapshot.cores.iter().zip(&self.cores).enumerate() {
-            check_registration(cs, &setup.prefetchers, setup.throttle.as_ref(), c)?;
-        }
-        self.resume = Some(snapshot.clone());
+        self.ctl
+            .arm_fork(snapshot, &self.config, &self.cores, EndOfRun::Rewind)?;
         Ok(self)
     }
 
@@ -223,214 +549,28 @@ impl MultiMachine {
     /// Panics if `traces.len()` differs from the core count.
     pub fn run(&mut self, traces: &[Trace]) -> Result<MultiRunStats, SimError> {
         assert_eq!(traces.len(), self.cores.len(), "one trace per core");
-        let n = self.cores.len();
-        let mut dram = Dram::new(self.config.dram.clone(), n as u32);
-        let mut sims: Vec<CoreSim> = (0..n)
-            .map(|i| {
-                CoreSim::new(
-                    i as u8,
-                    Arc::clone(&self.config),
-                    &traces[i].initial_memory,
-                    traces[i].ops.len(),
-                    self.cores[i].prefetchers.len(),
-                    self.resume.is_some(),
-                )
-            })
-            .collect();
-        if let Some(cfg) = &self.obs_config {
-            for sim in &mut sims {
-                sim.obs = Some(Box::new(ObsCollector::new(*cfg)));
-            }
-        }
-        if self.validate_config.is_some() {
-            for sim in &mut sims {
-                sim.validate =
-                    crate::validate::runtime_validator_for(self.validate_config.as_ref());
-            }
-        }
-        let mut observer = NullObserver;
-        let mut snapshots: Vec<Option<RunStats>> = vec![None; n];
-        let mut bus_at_start: Vec<u64> = vec![0; n];
-        let mut now: u64 = 0;
-        self.captured = None;
-        if let Some(snap) = self.resume.take() {
-            let rej = |e: SnapshotError| SimError::SnapshotRejected(e.to_string());
-            for (c, cs) in snap.cores.iter().enumerate() {
-                sims[c].restore_warm(cs).map_err(rej)?;
-                restore_prefetcher_states(&mut self.cores[c].prefetchers, &cs.prefetchers)
-                    .map_err(rej)?;
-                restore_throttle_state(self.cores[c].throttle.as_mut(), &cs.throttle)
-                    .map_err(rej)?;
-            }
-            dram.restore_state(&snap.dram).map_err(rej)?;
-            snapshots.clone_from(&snap.finished);
-            bus_at_start.clone_from(&snap.bus_at_start);
-            now = snap.cycle;
-        }
-        let mut capture_at = self.warm_cycles.unwrap_or(u64::MAX);
-        let wall = self
-            .wall_deadline
-            .map(|limit| (std::time::Instant::now(), limit));
-        let mut wall_poll: u32 = 0;
-
-        // Attribute a wedge to the first core that has not completed its
-        // trace (rewound cores count as finished for blame purposes).
-        let stuck_core_error =
-            |sims: &[CoreSim], snapshots: &[Option<RunStats>], now, dram: &Dram| {
-                let c = snapshots
-                    .iter()
-                    .position(Option::is_none)
-                    .unwrap_or_default();
-                SimError::Deadlock(sims[c].snapshot(now, dram))
-            };
-
-        while snapshots.iter().any(Option::is_none) {
-            // Warm-state capture: a pure read of chip state at the top of
-            // the loop, before this cycle's DRAM tick (same phase the
-            // single-core engine captures at).
-            if now >= capture_at {
-                capture_at = u64::MAX;
-                let snap = Snapshot {
-                    cycle: now,
-                    config_fp: config_fingerprint(&self.config),
-                    cores: (0..n)
-                        .map(|c| CoreState {
-                            mem: Arc::new(sims[c].mem.clone()),
-                            core: sims[c].save_warm(now),
-                            prefetchers: save_prefetcher_states(&self.cores[c].prefetchers),
-                            throttle: save_throttle_state(self.cores[c].throttle.as_ref()),
-                        })
-                        .collect(),
-                    dram: dram.save_state(),
-                    finished: snapshots.clone(),
-                    bus_at_start: bus_at_start.clone(),
-                };
-                self.captured = Some(snap);
-            }
-            let mut activity = false;
-            for completion in dram.tick(now) {
-                if completion.request.is_write {
-                    continue;
-                }
-                let c = completion.request.core as usize;
-                sims[c].apply_completion(
-                    completion,
-                    now,
-                    &mut self.cores[c].prefetchers,
-                    &mut observer,
-                );
-                activity = true;
-            }
-            // Rotate core service order for fairness.
-            for k in 0..n {
-                let c = (k + (now as usize)) % n;
-                let mut ops = ResidentOps(&traces[c].ops);
-                activity |= sims[c].step(
-                    &mut ops,
-                    now,
-                    &mut dram,
-                    &mut self.cores[c].prefetchers,
-                    &mut observer,
-                );
-                activity |= sims[c].issue_to_dram(&mut dram, now, &mut observer);
-                let core = &mut self.cores[c];
-                sims[c].maybe_end_interval(
-                    &mut core.prefetchers,
-                    core.throttle.as_mut(),
-                    now,
-                    dram.bus_transfers_for(c as u8),
-                    dram.bus_busy_slack(),
-                );
-                if sims[c].finished() {
-                    if snapshots[c].is_none() {
-                        let mut s = sims[c].stats.clone();
-                        s.cycles = now.max(1);
-                        s.bus_transfers = dram.bus_transfers_for(c as u8) - bus_at_start[c];
-                        s.bus_busy_cycles = s.bus_transfers * self.config.dram.bus_transfer_cycles;
-                        for (i, p) in self.cores[c].prefetchers.iter().enumerate() {
-                            s.prefetchers[i].name = p.name().to_string();
-                        }
-                        snapshots[c] = Some(s);
-                    }
-                    // Restart the trace to keep generating contention
-                    // (unless everyone is done).
-                    if snapshots.iter().any(Option::is_none) {
-                        sims[c].rewind(&traces[c].initial_memory);
-                    }
-                }
-            }
-
-            // Watchdog: if *no* core retired or drained an MSHR within the
-            // deadlock budget, the chip is livelocked even if prefetch
-            // churn keeps "activity" alive.
-            let newest_progress = sims.iter().map(CoreSim::last_progress).max().unwrap_or(0);
-            if now.saturating_sub(newest_progress) >= self.config.deadlock_cycles {
-                return Err(stuck_core_error(&sims, &snapshots, now, &dram));
-            }
-            // Wall-clock deadline, polled at the same coarse cadence as
-            // the single-core engine (see `WALL_DEADLINE_POLL_ITERS`).
-            if let Some((started, limit)) = wall {
-                wall_poll += 1;
-                if wall_poll >= crate::engine::WALL_DEADLINE_POLL_ITERS {
-                    wall_poll = 0;
-                    if started.elapsed() >= limit {
-                        let c = snapshots
-                            .iter()
-                            .position(Option::is_none)
-                            .unwrap_or_default();
-                        return Err(SimError::DeadlineExceeded {
-                            deadline_ms: limit.as_millis() as u64,
-                            snapshot: sims[c].snapshot(now, &dram),
-                        });
-                    }
-                }
-            }
-
-            if activity {
-                now += 1;
-                continue;
-            }
-            let dram_full = dram.is_full();
-            if sims.iter().enumerate().any(|(c, s)| {
-                s.has_immediate_work(&mut ResidentOps(&traces[c].ops), now, dram_full)
-            }) {
-                now += 1;
-            } else {
-                let mut next: Option<u64> = None;
-                for s in &sims {
-                    if let Some(e) = s.next_local_event(now) {
-                        next = Some(next.map_or(e, |n: u64| n.min(e)));
-                    }
-                }
-                if let Some(d) = dram.next_event(now) {
-                    next = Some(next.map_or(d, |n| n.min(d)));
-                }
-                match next {
-                    Some(e) => now = e,
-                    // Fully quiescent with unfinished cores: no future
-                    // event can change state — report immediately.
-                    None => return Err(stuck_core_error(&sims, &snapshots, now, &dram)),
-                }
-            }
-        }
-        let _ = bus_at_start;
-
-        for sim in &mut sims {
+        let memories: Vec<&SimMemory> = traces.iter().map(|t| &t.initial_memory).collect();
+        let mut ops: Vec<ResidentOps<'_>> = traces.iter().map(|t| ResidentOps(&t.ops)).collect();
+        let mut chip = run_chip(
+            &self.config,
+            &mut self.ctl,
+            &mut self.cores,
+            &memories,
+            &mut ops,
+            &mut NullObserver,
+            EndOfRun::Rewind,
+        )?;
+        for sim in &mut chip.sims {
             if let Some(v) = sim.validate.take() {
                 v.into_error()?;
             }
         }
-
-        let traces = if self.obs_config.is_some() {
-            sims.iter_mut()
-                .map(|s| s.obs.take().map(|o| o.into_trace()).unwrap_or_default())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Every core collects under `set_obs`, none otherwise.
+        let traces = chip.sims.iter_mut().filter_map(|s| s.obs.take());
+        let traces = traces.map(|o| o.into_trace()).collect();
         Ok(MultiRunStats {
-            per_core: snapshots.into_iter().flatten().collect(),
-            total_bus_transfers: dram.bus_transfers(),
+            per_core: chip.finished.into_iter().flatten().collect(),
+            total_bus_transfers: chip.dram.bus_transfers(),
             traces,
         })
     }
@@ -447,8 +587,10 @@ impl std::fmt::Debug for MultiMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::StreakPrefetcher;
     use crate::trace::TraceBuilder;
-    use sim_mem::{layout, SimMemory};
+    use proptest::prelude::*;
+    use sim_mem::layout;
 
     fn stream_trace(len: u32, base_off: u32) -> Trace {
         let mut tb = TraceBuilder::new(SimMemory::new());
@@ -539,6 +681,86 @@ mod tests {
             .fork_from(&snap)
             .expect_err("multi snapshot into single-core machine");
         assert_eq!(err.kind(), "snapshot-rejected");
+    }
+
+    /// Random loads (half of them address-dependent on the previous load),
+    /// stores and compute bursts over 2,000 blocks from `base` up.
+    fn random_trace(spec: &[(u32, u8, u32)], base: u32) -> Trace {
+        let mut tb = TraceBuilder::new(SimMemory::new());
+        let mut last_load = None;
+        for &(block, kind, count) in spec {
+            let addr = layout::HEAP_BASE + base + block * 64;
+            match kind {
+                0..=4 => {
+                    let dep = if kind % 2 == 0 { last_load } else { None };
+                    last_load = Some(tb.load(0x10 + u32::from(kind), addr, dep).1);
+                }
+                5..=6 => tb.store(0x20, addr, count, None),
+                _ => tb.compute(count),
+            }
+        }
+        tb.finish()
+    }
+
+    // The event-skipping clock must be invisible on a shared chip too: the
+    // cycle-by-cycle reference stepper reproduces every core's statistics,
+    // interval time series and prefetch lifecycle byte for byte. A few
+    // cases starve one core of request-buffer slots for as long as the
+    // others keep rewinding; those end at a cycle budget well past every
+    // finishing case (~130k cycles), where both clocks must report the
+    // same diagnostic snapshot.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn skip_ahead_matches_reference_stepper_on_random_chips(
+            specs in proptest::collection::vec(
+                proptest::collection::vec((0u32..2000, 0u8..10, 1u32..20), 1..150),
+                2..5,
+            ),
+            prefetching in 0u8..16,
+            request_buffer_per_core in 2u32..17,
+            l2_mshrs in 2u32..33,
+            window_size in 8u32..257,
+        ) {
+            // Tiny caches (1 KB L1, 4 KB L2) and 16-eviction intervals, so
+            // short traces evict, pollute and cross interval boundaries.
+            let cache = |bytes, ways, hit_latency| crate::cache::CacheConfig {
+                bytes,
+                ways,
+                hit_latency,
+            };
+            let mut cfg = MachineConfig {
+                l1: cache(1024, 2, 2),
+                l2: cache(4096, 8, 15),
+                interval_evictions: 16,
+                l2_mshrs,
+                ..MachineConfig::default()
+            };
+            cfg.dram.request_buffer_per_core = request_buffer_per_core;
+            cfg.core.window_size = window_size;
+            let cfg = Arc::new(cfg);
+            let traces: Vec<Trace> = (specs.iter().enumerate())
+                .map(|(c, spec)| random_trace(spec, c as u32 * 0x10_0000))
+                .collect();
+            let run = |no_skip: bool| {
+                let cores = (0..traces.len()).map(|c| {
+                    let mut setup = CoreSetup::bare();
+                    if prefetching & (1 << c) != 0 {
+                        setup.prefetchers.push(Box::new(StreakPrefetcher::new()));
+                    }
+                    setup
+                });
+                let mut mm = MultiMachine::new(Arc::clone(&cfg), cores.collect());
+                mm.set_obs(ObsConfig {
+                    lifecycle: true,
+                    ..ObsConfig::enabled()
+                });
+                mm.ctl.no_skip = no_skip;
+                mm.ctl.cycle_budget = Some(200_000);
+                format!("{:?}", mm.run(&traces))
+            };
+            prop_assert_eq!(run(false), run(true));
+        }
     }
 
     #[test]
