@@ -182,6 +182,12 @@ pub struct DiffOutcome {
     /// a fork starts with no marks, so a nonzero count means the case
     /// exercised forking over them (see [`Snapshot::l1_missing_ops`]).
     pub l1_missing_at_capture: usize,
+    /// Memory ops ready at the capture cycle that would be refused an
+    /// MSHR or a request-buffer slot. Those the capturing core had looked
+    /// up were marked as refused; a fork starts with no marks, so a
+    /// nonzero count means the case exercised forking over them (see
+    /// [`Snapshot::refused_ops`]).
+    pub refused_at_capture: usize,
 }
 
 /// Compares two runs field by field, returning the first divergence.
@@ -300,6 +306,10 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
         .l1_missing_ops(0, &cfg, &trace)
         .map_err(restore_err)?
         .len();
+    let refused_at_capture = snapshot
+        .refused_ops(0, &cfg, &trace)
+        .map_err(restore_err)?
+        .len();
 
     // Stage 3: fork from the in-memory snapshot.
     let forked = build()
@@ -325,6 +335,7 @@ pub fn run_case(lab: &Lab, case: &DiffCase) -> Result<DiffOutcome, DiffFailure> 
         snapshot_bytes: bytes.len(),
         parked_at_capture,
         l1_missing_at_capture,
+        refused_at_capture,
     })
 }
 

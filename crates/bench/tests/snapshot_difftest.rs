@@ -96,6 +96,38 @@ fn fork_over_port_refused_loads_marked_as_l1_misses() {
     );
 }
 
+/// Warm forks under stream+CDP captured while CDP's prefetches hold the
+/// MSHRs: ready loads that missed the L1 and the L2 wait for a miss slot,
+/// and the capturing core was passing over the ones it had been refused.
+/// The fork starts with no marks. The four-stage protocol must still
+/// match the cold run bit for bit.
+///
+/// Refusals come in bursts, and a capture lands on the first cycle the
+/// clock visits at or after its checkpoint. These checkpoints land inside
+/// a burst; at 5/10 no mst load is ready at all (every one waits on its
+/// producer).
+#[test]
+fn fork_over_loads_refused_a_miss_slot() {
+    let lab = Lab::with_checkpoints(FaultPlan::none(), None);
+    for (workload, checkpoint_tenths) in [("mst", 2), ("pfast", 3)] {
+        let case = DiffCase {
+            workload: workload.to_string(),
+            input: InputSet::Test,
+            system: SystemKind::StreamCdp,
+            l2_bytes: 1024 * 1024,
+            interval_evictions: 8192,
+            checkpoint_tenths,
+        };
+        let outcome = difftest::run_case(&lab, &case).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            outcome.refused_at_capture > 0,
+            "[{}] no ready load was refused a miss slot at cycle {}",
+            case.label(),
+            outcome.checkpoint_cycle
+        );
+    }
+}
+
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bench-ckpt-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -255,10 +255,21 @@ impl CoreSim {
     /// Ready memory ops whose block is not in the L1, in program order
     /// (see [`Snapshot::l1_missing_ops`]).
     pub(crate) fn ready_l1_misses<O: OpSource>(&self, ops: &mut O) -> Vec<u32> {
+        self.ready_where(ops, |op| self.l1.probe(op.addr).is_none())
+    }
+
+    /// Ready memory ops that would be refused a miss slot against `dram`,
+    /// in program order (see [`Snapshot::refused_ops`]).
+    pub(crate) fn ready_refused<O: OpSource>(&self, ops: &mut O, dram: &Dram) -> Vec<u32> {
+        self.ready_where(ops, |op| self.refused_a_miss_slot(op, dram))
+    }
+
+    /// Ready memory ops for which `pred` holds, in program order.
+    fn ready_where<O: OpSource>(&self, ops: &mut O, pred: impl Fn(&TraceOp) -> bool) -> Vec<u32> {
         let mut out = Vec::new();
         let mut from = self.iq.base();
         while let Some(idx) = self.iq.next_ready(from, self.next_dispatch, false) {
-            if self.l1.probe(ops.op(idx).addr).is_none() {
+            if pred(&ops.op(idx)) {
                 out.push(idx as u32);
             }
             from = idx + 1;
@@ -319,6 +330,32 @@ impl CoreSim {
                 by: pid,
             });
         }
+    }
+
+    /// Fills a block into the L2. A refused op may now hit it, so every
+    /// refused mark is cleared.
+    fn fill_l2(&mut self, block: Addr, state: LineState) -> Option<crate::cache::Evicted> {
+        self.iq.clear_refused();
+        self.l2.fill(block, state)
+    }
+
+    /// A DRAM completion freed an MSHR or a request-buffer slot, on this
+    /// core or another: any op refused one may now find it free.
+    #[inline]
+    pub(crate) fn miss_slot_freed(&mut self) {
+        self.iq.clear_refused();
+    }
+
+    /// True if ready op `op` would be refused a miss slot were it looked
+    /// up now: its block misses the L1 and the L2 (and is no oracle hit),
+    /// no MSHR holds it, and the MSHRs or the request buffer are full.
+    fn refused_a_miss_slot(&self, op: &TraceOp, dram: &Dram) -> bool {
+        let block = block_of(op.addr);
+        self.l1.probe(op.addr).is_none()
+            && self.l2.probe(block).is_none()
+            && !(self.cfg.oracle_lds && op.lds)
+            && self.mshrs.find(block).is_none()
+            && (self.mshrs.is_full() || dram.is_full())
     }
 
     /// Fills a block into the L1, folding a dirty victim into the L2.
@@ -423,7 +460,7 @@ impl CoreSim {
             }
         }
 
-        if let Some(victim) = self.l2.fill(block, state) {
+        if let Some(victim) = self.fill_l2(block, state) {
             let filled_by = match entry.kind {
                 AccessKind::Prefetch(pid) => Some(pid),
                 _ => None,
@@ -574,9 +611,10 @@ impl CoreSim {
         // Visit only the ops whose address producer has completed, oldest
         // first: a dependence-stalled op has no side effects, so this is
         // exactly the set and order an in-order scan of every pending op
-        // would try. Once the L2 port is spent, also pass over the ops
-        // marked as L1 misses: each would miss again and be refused the
-        // port, whose only effect is an LRU tick that reorders no lines.
+        // would try. Pass over the ops marked as refused a miss slot, and
+        // once the L2 port is spent over every op marked as an L1 miss:
+        // each would be refused again, whose only effect is an LRU tick on
+        // a miss, which reorders no lines.
         let mut issued = 0;
         let mut budget = self.cfg.core.issue_width;
         let mut from = self.iq.base();
@@ -603,11 +641,21 @@ impl CoreSim {
         #[cfg(debug_assertions)]
         {
             let mut from = self.iq.base();
-            while let Some(idx) = self.iq.next_marked(from, self.next_dispatch) {
+            while let Some(idx) = self.iq.next_marked(from, self.next_dispatch, false) {
                 let addr = ops.op(idx).addr;
                 assert!(
                     self.l1.probe(addr).is_none(),
                     "op {idx} is marked as an L1 miss but {addr:#x} is resident"
+                );
+                from = idx + 1;
+            }
+            let mut from = self.iq.base();
+            while let Some(idx) = self.iq.next_marked(from, self.next_dispatch, true) {
+                let op = ops.op(idx);
+                assert!(
+                    self.refused_a_miss_slot(&op, dram),
+                    "op {idx} is marked as refused a miss slot but {:#x} could issue",
+                    op.addr
                 );
                 from = idx + 1;
             }
@@ -734,7 +782,7 @@ impl CoreSim {
                     self.stats.l2_demand_accesses += 1;
                 }
             }
-            if let Some(victim) = self.l2.fill(
+            if let Some(victim) = self.fill_l2(
                 block,
                 LineState {
                     dirty: is_store,
@@ -793,8 +841,10 @@ impl CoreSim {
             return IssueOutcome::Issued;
         }
 
-        // Full L2 miss: need an MSHR and request-buffer space.
+        // Full L2 miss: need an MSHR and request-buffer space. Refused, the
+        // op stays marked until a DRAM completion or an L2 fill.
         if self.mshrs.is_full() || dram.is_full() {
+            self.iq.mark_refused(op_idx as usize);
             return IssueOutcome::Stalled;
         }
         *l2_port -= 1;
@@ -2156,7 +2206,9 @@ pub(crate) mod tests {
         match err {
             SimError::CycleBudgetExceeded { budget, snapshot } => {
                 assert_eq!(budget, 1_000);
-                assert!(snapshot.cycle >= 1_000);
+                // An idle skip stops at the budget, as the reference
+                // stepper does.
+                assert_eq!(snapshot.cycle, 1_000);
                 assert!(snapshot.retired_ops < 50);
                 assert_eq!(snapshot.total_ops, 50);
             }
@@ -2166,6 +2218,91 @@ pub(crate) mod tests {
         m.set_cycle_budget(None);
         let stats = m.run(&trace).expect("run");
         assert_eq!(stats.retired_instructions, 50);
+    }
+
+    /// Independent loads in runs of four consecutive blocks: far more
+    /// misses than two MSHRs and a two-entry request buffer hold, with the
+    /// streak prefetcher's requests competing for both, so most loads are
+    /// refused a miss slot for many cycles.
+    fn mshr_starved_trace() -> Trace {
+        let mut tb = TraceBuilder::new(SimMemory::new());
+        for i in 0..300u32 {
+            let block = (i / 4) * 37 + i % 4;
+            tb.load(0x400 + (i % 3) * 4, layout::HEAP_BASE + block * 64, None);
+        }
+        tb.finish()
+    }
+
+    /// Ready loads refused an MSHR or a request-buffer slot are passed
+    /// over until a DRAM completion or an L2 fill. Pinned from the engine
+    /// that looked each of them up again every cycle: skipping them moves
+    /// no statistic.
+    #[test]
+    fn loads_refused_a_miss_slot_keep_the_pinned_stats() {
+        let mut cfg = MachineConfig {
+            l2_mshrs: 2,
+            ..MachineConfig::default()
+        };
+        cfg.dram.request_buffer_per_core = 2;
+        let mut m = Machine::new(cfg);
+        m.add_prefetcher(Box::new(StreakPrefetcher::new()));
+        let stats = m.run(&mshr_starved_trace()).expect("run");
+        let latency = |count, total_cycles, max_cycles| crate::stats::LatencyStats {
+            count,
+            total_cycles,
+            max_cycles,
+        };
+        let expected = RunStats {
+            cycles: 59_753,
+            retired_instructions: 300,
+            l2_demand_accesses: 300,
+            l2_demand_misses: 299,
+            l2_lds_misses: 0,
+            l2_merged_into_prefetch: 1,
+            l1_hits: 0,
+            l1_misses: 300,
+            bus_transfers: 305,
+            bus_busy_cycles: 12_200,
+            writebacks: 0,
+            dram_row_hits: 125,
+            dram_row_conflicts: 180,
+            intervals: 0,
+            prefetchers: vec![PrefetcherStats {
+                name: "test-streak".to_string(),
+                issued: 6,
+                used: 1,
+                late: 1,
+                pollution: 0,
+                unused_evicted: 5,
+            }],
+            useful_prefetch_wait_cycles: 0,
+            demand_service: latency(299, 118_970, 450),
+            prefetch_service: latency(6, 2_779, 490),
+        };
+        assert_eq!(stats, expected);
+    }
+
+    /// With no MSHRs every L2 miss is refused for good. Once the window is
+    /// full and every ready load is marked as refused, nothing is in
+    /// flight anywhere, so both steppers report the deadlock at once. An
+    /// engine that kept looking the loads up counted them as ready work
+    /// and stepped through the whole watchdog budget (cycle 20,000,000).
+    #[test]
+    fn zero_mshrs_deadlock_as_soon_as_every_ready_load_is_refused() {
+        for reference in [false, true] {
+            let mut m = Machine::new(MachineConfig {
+                l2_mshrs: 0,
+                ..MachineConfig::default()
+            });
+            m.set_reference_stepping(reference);
+            let err = m.run(&mshr_starved_trace()).expect_err("no load can miss");
+            let SimError::Deadlock(snap) = &err else {
+                panic!("expected Deadlock, got {err:?}");
+            };
+            assert_eq!(snap.cycle, 64, "reference stepper: {reference}");
+            assert_eq!((snap.retired_ops, snap.window_instrs), (0, 256));
+            assert_eq!((snap.mshr_capacity, snap.mshr_occupancy), (0, 0));
+        }
     }
 
     #[test]

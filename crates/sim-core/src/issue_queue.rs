@@ -24,6 +24,15 @@
 //! ([`IssueQueue::l1_filled`]). Only a fill turns an L1 miss into a hit,
 //! so a marked op still misses; once the cycle's L2 port is spent it could
 //! only be refused, and the issue pass skips it.
+//!
+//! A marked op whose L2 lookup also missed, with no MSHR holding its block,
+//! and that was refused because the MSHRs or the DRAM request buffer were
+//! full is further marked **refused** ([`IssueQueue::mark_refused`]). Only
+//! a DRAM completion frees an MSHR or a buffer slot, and only an L2 fill
+//! turns its L2 miss into a hit, so until one of those clears the mark
+//! ([`IssueQueue::clear_refused`]) or an L1 fill in its set clears its L1
+//! mark, the op could only be refused again: the issue pass skips it even
+//! with the port free, and [`IssueQueue::has_ready`] ignores it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,6 +79,10 @@ pub(crate) struct IssueQueue {
     /// linger until the set's next fill; they can only clear a mark early,
     /// which costs one extra lookup.
     set_members: Vec<u64>,
+    /// One bit per ring slot: a ready op last refused an MSHR or a
+    /// request-buffer slot, with no DRAM completion or L2 fill since. It
+    /// skips the op only together with its `l1_miss` bit.
+    refused: Vec<u64>,
 }
 
 impl IssueQueue {
@@ -84,6 +97,7 @@ impl IssueQueue {
             wait_next: Vec::new(),
             l1_miss: Vec::new(),
             set_members: Vec::new(),
+            refused: Vec::new(),
         }
     }
 
@@ -110,6 +124,8 @@ impl IssueQueue {
         self.l1_miss.resize(cap / 64, 0);
         self.set_members.clear();
         self.set_members.resize(l1_sets as usize * (cap / 64), 0);
+        self.refused.clear();
+        self.refused.resize(cap / 64, 0);
     }
 
     /// Completion cycle of op `idx` ([`NOT_DONE`] if unknown; 0 once
@@ -195,12 +211,14 @@ impl IssueQueue {
         self.ready[slot / 64] |= 1 << (slot % 64);
     }
 
-    /// Removes issued op `op` from the ready set and clears its mark.
+    /// Removes issued op `op` from the ready set and clears its marks.
     #[inline]
     pub(crate) fn take(&mut self, op: usize) {
         let slot = op & self.mask;
-        self.ready[slot / 64] &= !(1 << (slot % 64));
-        self.l1_miss[slot / 64] &= !(1 << (slot % 64));
+        let keep = !(1 << (slot % 64));
+        self.ready[slot / 64] &= keep;
+        self.l1_miss[slot / 64] &= keep;
+        self.refused[slot / 64] &= keep;
     }
 
     /// Marks ready op `op`, whose L1 lookup just missed in set `set`.
@@ -210,6 +228,21 @@ impl IssueQueue {
         let bit = 1 << (slot % 64);
         self.l1_miss[slot / 64] |= bit;
         self.set_members[set as usize * self.l1_miss.len() + slot / 64] |= bit;
+    }
+
+    /// Marks ready op `op`, already marked as an L1 miss, as refused an
+    /// MSHR or a request-buffer slot.
+    #[inline]
+    pub(crate) fn mark_refused(&mut self, op: usize) {
+        let slot = op & self.mask;
+        self.refused[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// A DRAM completion or an L2 fill: clears every refused mark, since
+    /// any refused op may now find a free miss slot or hit in the L2.
+    #[inline]
+    pub(crate) fn clear_refused(&mut self) {
+        self.refused.fill(0);
     }
 
     /// A block is about to fill L1 set `set`: clears the marks of every
@@ -237,18 +270,25 @@ impl IssueQueue {
     }
 
     /// The oldest ready op with index in `from..to` (`to` at most one
-    /// ring length past the window head), passing over marked ops if
+    /// ring length past the window head), passing over ops marked both as
+    /// L1 misses and as refused, and over every op marked as an L1 miss if
     /// `skip_marked`.
     #[inline]
     pub(crate) fn next_ready(&self, from: usize, to: usize, skip_marked: bool) -> Option<usize> {
         let skip = if skip_marked { u64::MAX } else { 0 };
-        self.next_in(from, to, |w| self.ready[w] & !(self.l1_miss[w] & skip))
+        self.next_in(from, to, |w| {
+            self.ready[w] & !(self.l1_miss[w] & (self.refused[w] | skip))
+        })
     }
 
-    /// The oldest marked ready op with index in `from..to`.
+    /// The oldest ready op in `from..to` marked as an L1 miss (and also as
+    /// refused, if `refused`).
     #[cfg(debug_assertions)]
-    pub(crate) fn next_marked(&self, from: usize, to: usize) -> Option<usize> {
-        self.next_in(from, to, |w| self.ready[w] & self.l1_miss[w])
+    pub(crate) fn next_marked(&self, from: usize, to: usize, refused: bool) -> Option<usize> {
+        let only = if refused { 0 } else { u64::MAX };
+        self.next_in(from, to, |w| {
+            self.ready[w] & self.l1_miss[w] & (self.refused[w] | only)
+        })
     }
 
     /// The lowest index in `from..to` whose slot bit is set in the bitset
@@ -285,10 +325,11 @@ impl IssueQueue {
         out
     }
 
-    /// True if some pending op could issue at `now` (ready, or its
-    /// producer completes by `now`).
+    /// True if some pending op could issue at `now` (ready and not
+    /// refused a miss slot, or its producer completes by `now`).
     pub(crate) fn has_ready(&self, now: u64) -> bool {
-        self.ready.iter().any(|&w| w != 0)
+        let mut words = self.ready.iter().zip(&self.l1_miss).zip(&self.refused);
+        words.any(|((&r, &m), &f)| r & !(m & f) != 0)
             || self.due.peek().is_some_and(|&Reverse((at, _))| at <= now)
     }
 }
@@ -444,5 +485,75 @@ mod tests {
         q.reset(32, 2);
         q.insert(0, NO_DEP, 0);
         assert_eq!(visit(&q, 0, 10, true), [0]);
+    }
+
+    /// Ready ops 0..4 over four L1 sets (op `i` in set `i`), each marked
+    /// as an L1 miss and ops 0..3 also as refused a miss slot.
+    fn refused_queue() -> IssueQueue {
+        let mut q = IssueQueue::new();
+        q.reset(8, 4);
+        for op in 0..4 {
+            q.insert(op, NO_DEP, 0);
+            q.mark_l1_miss(op, op as u32);
+        }
+        for op in 0..3 {
+            q.mark_refused(op);
+        }
+        q
+    }
+
+    #[test]
+    fn refused_ops_are_skipped_with_the_port_free_and_do_not_count_as_ready() {
+        let mut q = refused_queue();
+        assert_eq!(visit(&q, 0, 4, false), [3]);
+        assert_eq!(visit(&q, 0, 4, true), Vec::<usize>::new());
+        assert!(q.has_ready(0), "op 3 was only refused the port");
+        q.take(3);
+        assert!(!q.has_ready(0), "every ready op waits for a miss slot");
+        q.insert(5, NO_DEP, 0);
+        assert!(q.has_ready(0));
+    }
+
+    #[test]
+    fn an_l1_fill_in_its_set_unskips_a_refused_op() {
+        let mut q = refused_queue();
+        q.l1_filled(1);
+        assert_eq!(visit(&q, 0, 4, false), [1, 3]);
+        assert_eq!(visit(&q, 0, 4, true), [1]);
+        // Looked up again and still refused: skipped again.
+        q.mark_l1_miss(1, 1);
+        assert_eq!(visit(&q, 0, 4, false), [3]);
+    }
+
+    #[test]
+    fn clear_refused_unskips_every_refused_op() {
+        let mut q = refused_queue();
+        q.clear_refused();
+        assert_eq!(visit(&q, 0, 4, false), [0, 1, 2, 3]);
+        // Their L1 marks stand: a spent port still passes over them.
+        assert_eq!(visit(&q, 0, 4, true), Vec::<usize>::new());
+    }
+
+    /// `take` clears an issued op's refused mark, so the op reusing its
+    /// ring slot inherits none; `reset` drops every mark.
+    #[test]
+    fn a_reused_slot_inherits_no_refused_mark() {
+        let mut q = IssueQueue::new();
+        q.reset(32, 2); // 64 slots
+        q.insert(3, NO_DEP, 0);
+        q.mark_l1_miss(3, 0);
+        q.mark_refused(3);
+        q.take(3);
+        q.settle_below(10);
+        // Op 67 reuses slot 3; a port refusal marks it as an L1 miss only.
+        q.insert(67, NO_DEP, 0);
+        q.mark_l1_miss(67, 1);
+        assert_eq!(visit(&q, 10, 70, false), [67]);
+        assert!(q.has_ready(0));
+        q.mark_refused(67);
+        q.reset(32, 2);
+        q.insert(3, NO_DEP, 0);
+        q.mark_l1_miss(3, 1);
+        assert_eq!(visit(&q, 0, 10, false), [3]);
     }
 }

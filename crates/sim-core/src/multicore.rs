@@ -376,7 +376,12 @@ pub(crate) fn run_chip<O: OpSource>(
             ctl.captured = Some(chip.capture(config, cores));
         }
         let mut activity = false;
-        for completion in chip.dram.tick(now) {
+        let completions = chip.dram.tick(now);
+        if !completions.is_empty() {
+            // Each completion frees an MSHR or a request-buffer slot.
+            chip.sims.iter_mut().for_each(CoreSim::miss_slot_freed);
+        }
+        for completion in completions {
             let c = completion.request.core as usize;
             chip.sims[c].apply_completion(completion, now, &mut cores[c].prefetchers, observer);
             activity = true;
@@ -448,7 +453,10 @@ pub(crate) fn run_chip<O: OpSource>(
         chip.now = if activity {
             now + 1
         } else {
-            chip.next_visit(ops, ctl.no_skip)?
+            // Never past an armed budget, so it trips on the cycle the
+            // reference stepper reports.
+            let next = chip.next_visit(ops, ctl.no_skip)?;
+            ctl.cycle_budget.map_or(next, |budget| next.min(budget))
         };
     }
     Ok(chip)

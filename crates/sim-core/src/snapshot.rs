@@ -459,6 +459,33 @@ impl Snapshot {
             .ready_l1_misses(&mut crate::ResidentOps(&trace.ops)))
     }
 
+    /// The memory ops of core `core` that, at the capture cycle (before
+    /// its DRAM completions), were ready to issue but would be refused a
+    /// miss slot: their block missed the L1 and the L2, no MSHR held it,
+    /// and the MSHRs or the DRAM request buffer were full, in program
+    /// order.
+    ///
+    /// The issue pass passes over the ones it has been refused, until a
+    /// DRAM completion or an L2 fill. Marks are not captured: a fork
+    /// starts with none and looks each op up again. Arguments are as for
+    /// [`Snapshot::parked_ops`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::parked_ops`], or if the DRAM state does not
+    /// restore against `config`.
+    pub fn refused_ops(
+        &self,
+        core: usize,
+        config: &MachineConfig,
+        trace: &crate::Trace,
+    ) -> Result<Vec<u32>, SnapshotError> {
+        let sim = self.restored_core(core, config, trace)?;
+        let mut dram = crate::dram::Dram::new(config.dram.clone(), self.cores.len() as u32);
+        dram.restore_state(&self.dram)?;
+        Ok(sim.ready_refused(&mut crate::ResidentOps(&trace.ops), &dram))
+    }
+
     /// A scratch core restored from core `core`'s state, its issue queue
     /// rebuilt from `trace` as a fork's first cycle does.
     fn restored_core(
