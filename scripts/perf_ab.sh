@@ -12,19 +12,18 @@
 # the same result digest.
 #
 # Usage: scripts/perf_ab.sh [--base REV] [--pairs N] [--seconds S]
-#                           [--trace 0|1] [--scratch DIR] [--reuse]
-#                           [WORKLOAD...]
+#                           [--trace 0|1] [--scratch DIR] [WORKLOAD...]
 #
 #   --base REV     base revision (default: the merge-base of HEAD and
-#                  main, which on main is HEAD itself, so the A/B is the
-#                  uncommitted change against its parent)
+#                  main; when that is HEAD and the working tree is clean,
+#                  HEAD~1, so a committed change is measured against its
+#                  parent). Refuses to run when the base is HEAD and the
+#                  working tree is clean: both sides would be the same.
 #   --pairs N      interleaved pairs per workload (default 10)
 #   --seconds S    measured seconds per run (default 20)
 #   --trace T      perfbench --trace value (default 0; 1 adds per-layer
 #                  metrics)
 #   --scratch DIR  build and log directory (default $TMPDIR/perf_ab)
-#   --reuse        keep the two builds already in DIR (from an earlier
-#                  run with the same base and working tree)
 #   WORKLOAD...    default: every workload in BENCHMARK.json
 #
 # Run from anywhere inside the repository. Needs git, cargo and python3.
@@ -36,7 +35,6 @@ pairs=10
 seconds=20
 trace=0
 scratch="${TMPDIR:-/tmp}/perf_ab"
-reuse=0
 workloads=()
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -45,7 +43,6 @@ while [ $# -gt 0 ]; do
         --seconds) seconds=$2; shift 2 ;;
         --trace) trace=$2; shift 2 ;;
         --scratch) scratch=$2; shift 2 ;;
-        --reuse) reuse=1; shift ;;
         -h|--help) sed -n '2,/^set -euo/p' "$0" | sed '$d; s/^# \{0,1\}//'; exit 0 ;;
         -*) echo "perf_ab: unknown flag $1" >&2; exit 2 ;;
         *) workloads+=("$1"); shift ;;
@@ -53,22 +50,37 @@ while [ $# -gt 0 ]; do
 done
 case "$pairs" in ''|*[!0-9]*|0) echo "perf_ab: --pairs must be a positive integer" >&2; exit 2 ;; esac
 cd "$repo"
-[ -n "$base" ] || base=$(git merge-base HEAD main)
+head_rev=$(git rev-parse HEAD)
+clean=0
+[ -z "$(git status --porcelain --untracked-files=normal)" ] && clean=1
+if [ -z "$base" ]; then
+    base=$(git merge-base HEAD main)
+    if [ "$base" = "$head_rev" ] && [ "$clean" -eq 1 ]; then base=HEAD~1; fi
+fi
+if [ "$(git rev-parse "$base^{commit}")" = "$head_rev" ] && [ "$clean" -eq 1 ]; then
+    echo "perf_ab: base $base is HEAD and the working tree is clean; both sides would be the same code" >&2
+    exit 2
+fi
 base_rev=$(git rev-parse --short=12 "$base^{commit}")
 if [ ${#workloads[@]} -eq 0 ]; then
     mapfile -t workloads < <(python3 -c 'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
 fi
 
-# Two source copies, each built into its own target directory.
+# Two fresh source copies, each built into its own target directory (kept
+# between runs, so cargo rebuilds only what changed). The working-tree copy
+# skips tracked files deleted in the working tree.
 rm -rf "$scratch/runs"
 mkdir -p "$scratch/runs"
-if [ "$reuse" -eq 0 ]; then
-    rm -rf "$scratch/base" "$scratch/change"
-    mkdir -p "$scratch/base" "$scratch/change"
-    git archive "$base_rev" | tar -x -C "$scratch/base"
-    git ls-files -z --cached --others --exclude-standard \
-        | tar --null -T - -cf - | tar -x -C "$scratch/change"
-fi
+for side in base change; do
+    mkdir -p "$scratch/$side"
+    find "$scratch/$side" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+done
+git archive "$base_rev" | tar -x -C "$scratch/base"
+git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' f; do
+        if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+    done \
+    | tar --null -T - -cf - | tar -x -C "$scratch/change"
 for side in base change; do
     echo "perf_ab: building $side perfbench" >&2
     CARGO_TARGET_DIR="$scratch/$side/target" cargo build --release --offline --quiet \
